@@ -2,10 +2,9 @@
 //!
 //! No timing groups. The target runs a fixed workload (Q1/Q2/the
 //! combined query under canonical and unnested evaluation) into
-//! isolated metrics hubs across the worker-count × batch-size matrix
-//! and asserts that every configuration folds to the *bit-identical*
-//! timing-free snapshot — the PR 6 replay discipline applied to
-//! telemetry. It then records the count-derived metric values under
+//! isolated metrics hubs at 1 and 8 workers and asserts that both fold
+//! to the *bit-identical* timing-free snapshot — the morsel replay
+//! discipline applied to telemetry. It then records the count-derived metric values under
 //! `metrics/counters/…`, so `scripts/bench.sh compare` trips if a
 //! refactor silently changes what the registry observes (rows,
 //! disjunct selectivities, memo traffic, governor byte model).
@@ -20,12 +19,11 @@ const SF: (f64, f64) = (0.05, 0.05);
 const SEED: u64 = 42;
 
 /// Run the fixed workload into a fresh hub under one executor shape.
-fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
+fn run_workload(threads: usize) -> Arc<MetricsHub> {
     let hub = Arc::new(MetricsHub::new());
     let db = rst_database(SF.0, SF.1, SEED).with_metrics_hub(Arc::clone(&hub));
     let limits = RunLimits {
         threads: Some(threads),
-        batch_rows: Some(batch_rows),
         morsel_rows: (threads > 1).then_some(16),
         ..RunLimits::default()
     };
@@ -39,15 +37,10 @@ fn run_workload(threads: usize, batch_rows: usize) -> Arc<MetricsHub> {
 }
 
 fn bench_metrics(_c: &mut Criterion) {
-    let reference = run_workload(1, 0);
+    let reference = run_workload(1);
     let expected = reference.snapshot().deterministic();
-    for (threads, batch_rows) in [(1, 64), (8, 0), (8, 64)] {
-        let got = run_workload(threads, batch_rows).snapshot().deterministic();
-        assert_eq!(
-            got, expected,
-            "deterministic snapshot differs at threads={threads} batch={batch_rows}"
-        );
-    }
+    let got = run_workload(8).snapshot().deterministic();
+    assert_eq!(got, expected, "deterministic snapshot differs at threads=8");
 
     // Gate the count-derived series in the baseline registry. Gauges
     // and counters only — `deterministic()` already stripped the

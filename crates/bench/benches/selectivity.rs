@@ -4,7 +4,7 @@
 //!
 //! No timing groups — the disjunct counters are deterministic (rank
 //! epochs are fixed row counts, stats fold worker-count- and
-//! batch-size-independently), so they gate exactly via
+//! morsel-size-independently), so they gate exactly via
 //! `scripts/bench.sh compare`. Two facets of the adaptive BestD
 //! ordering (DESIGN.md §8):
 //!

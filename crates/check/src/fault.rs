@@ -1,8 +1,8 @@
 //! The deterministic fault-point injection oracle.
 //!
-//! The executor's resource governor numbers every checkpoint (per-row
-//! tick or byte charge) with an index that depends only on plan + data
-//! — never on timing or thread scheduling. That makes error paths
+//! The executor's resource governor numbers every checkpoint (one per
+//! operator block or one-shot charge) with an index that depends only
+//! on plan + data — never on timing or thread scheduling. That makes error paths
 //! *enumerable*: a clean run of a query under a strategy reports its
 //! checkpoint count `N`, and re-running with
 //! [`InjectedFault::new(k, kind)`] for any `k ∈ 1..=N` fails at

@@ -1157,13 +1157,6 @@ pub struct OracleConfig {
     /// sequences, identical [`bypass_core::ExecCounters`] and
     /// identical error messages.
     pub par_axis: bool,
-    /// The vectorized-vs-row axis: additionally execute every
-    /// (case, strategy) pair with the legacy row-at-a-time path
-    /// (`batch_rows = 0`) and with a tiny batch size
-    /// ([`BATCH_AXIS_ROWS`], so oracle-sized inputs span several
-    /// batches) and require identical row sequences, identical
-    /// [`bypass_core::ExecCounters`] and identical error messages.
-    pub batch_axis: bool,
 }
 
 /// Worker count of the oracle's parallel-axis runs.
@@ -1173,11 +1166,6 @@ const PAR_AXIS_THREADS: usize = 4;
 /// at most ~18 rows per table, so the production 4096-row gate would
 /// never fan out without this.
 const PAR_AXIS_MORSEL_ROWS: usize = 2;
-
-/// Forced batch size of the batch-axis runs: small enough that the
-/// oracle's ≤18-row tables split into several partial batches (final
-/// short batch included).
-const BATCH_AXIS_ROWS: usize = 3;
 
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
@@ -1201,7 +1189,6 @@ impl Default for OracleConfig {
                 })
                 .unwrap_or_default(),
             par_axis: true,
-            batch_axis: true,
         }
     }
 }
@@ -1217,10 +1204,6 @@ pub struct OracleReport {
     /// compared for identical rows + counters); 0 when the axis is
     /// disabled.
     pub par_runs: u64,
-    /// Vectorized-vs-row axis executions (pairs of governed runs at
-    /// `batch_rows = 0` and `batch_rows = BATCH_AXIS_ROWS` compared for
-    /// identical rows + counters); 0 when the axis is disabled.
-    pub batch_runs: u64,
     /// How many generated queries contained a nested block.
     pub nested_queries: u32,
     /// Coverage tag → hit count over the scheduled cases (structural
@@ -1396,7 +1379,6 @@ struct CaseStats {
     nested: bool,
     strategy_runs: u64,
     par_runs: u64,
-    batch_runs: u64,
 }
 
 /// Derive the deterministic base seed for `case` within a run. Cases
@@ -1430,7 +1412,6 @@ fn run_case(
         nested: sql.contains("(SELECT"),
         strategy_runs: 0,
         par_runs: 0,
-        batch_runs: 0,
     };
     for &strategy in &cfg.strategies {
         stats.strategy_runs += 1;
@@ -1448,34 +1429,6 @@ fn run_case(
                 // property of the executor (serial vs morsel-parallel),
                 // not of the rewrite, and the case replays exactly from
                 // its seed.
-                let profiles = vec![profile_summary(&db, &sql, strategy)];
-                return Err(Box::new(Mismatch {
-                    case_seed: seed,
-                    case,
-                    strategy,
-                    sql: sql.clone(),
-                    fingerprint: bypass_core::fingerprint_sql(&sql).unwrap_or(0),
-                    minimized_sql: sql.clone(),
-                    detail,
-                    instance: format!(
-                        "    r: {}\n    s: {}\n    t: {}",
-                        render_rows(&r),
-                        render_rows(&s),
-                        render_rows(&t)
-                    ),
-                    profiles,
-                }));
-            }
-        }
-    }
-    if cfg.batch_axis {
-        for &strategy in &cfg.strategies {
-            stats.batch_runs += 1;
-            if let Some(detail) = batch_divergence(&db, &sql, strategy) {
-                // As with the parallel axis: the divergence is a
-                // property of the executor (vectorized vs row-at-a-
-                // time), not of the rewrite — no query shrinking, the
-                // case replays exactly from its seed.
                 let profiles = vec![profile_summary(&db, &sql, strategy)];
                 return Err(Box::new(Mismatch {
                     case_seed: seed,
@@ -1551,67 +1504,6 @@ fn par_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String
     }
 }
 
-/// The vectorized-vs-row oracle axis: the same (query, strategy) pair
-/// executed with the legacy row-at-a-time path and with a tiny batch
-/// size must produce the identical row *sequence*, identical
-/// [`bypass_core::ExecCounters`] — memo totals, governed peak bytes,
-/// checkpoint count — and, when both runs fail, the identical error.
-/// Both runs are serial so the comparison isolates the batch axis.
-fn batch_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    let row = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            batch_rows: Some(0),
-            ..RunLimits::default()
-        },
-    );
-    let batched = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            batch_rows: Some(BATCH_AXIS_ROWS),
-            ..RunLimits::default()
-        },
-    );
-    match (row, batched) {
-        (Ok((rr, rc)), Ok((br, bc))) => {
-            if rr.rows() != br.rows() {
-                return Some(format!(
-                    "vectorized(batch {BATCH_AXIS_ROWS}) row sequence diverges from row-at-a-time: \
-                     row-at-a-time {} rows, vectorized {} rows",
-                    rr.len(),
-                    br.len()
-                ));
-            }
-            if rc != bc {
-                return Some(format!(
-                    "vectorized(batch {BATCH_AXIS_ROWS}) counters diverge from row-at-a-time: \
-                     row-at-a-time {rc:?}, vectorized {bc:?}"
-                ));
-            }
-            None
-        }
-        (Err(re), Err(be)) => {
-            let (re, be) = (re.to_string(), be.to_string());
-            (re != be).then(|| {
-                format!(
-                    "row-at-a-time and vectorized runs fail differently: \
-                     row-at-a-time `{re}`, vectorized `{be}`"
-                )
-            })
-        }
-        (Ok(_), Err(e)) => Some(format!(
-            "vectorized run fails where row-at-a-time succeeds: {e}"
-        )),
-        (Err(e), Ok(_)) => Some(format!(
-            "row-at-a-time run fails where vectorized succeeds: {e}"
-        )),
-    }
-}
-
 /// Run the differential oracle with the default executor.
 pub fn run_differential(cfg: &OracleConfig) -> std::result::Result<OracleReport, Box<Mismatch>> {
     run_differential_with(cfg, &DefaultExecutor)
@@ -1627,7 +1519,6 @@ pub fn run_differential_with(
         cases: 0,
         strategy_runs: 0,
         par_runs: 0,
-        batch_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
@@ -1636,7 +1527,6 @@ pub fn run_differential_with(
         report.cases += 1;
         report.strategy_runs += stats.strategy_runs;
         report.par_runs += stats.par_runs;
-        report.batch_runs += stats.batch_runs;
         if stats.nested {
             report.nested_queries += 1;
         }
@@ -1682,14 +1572,12 @@ pub fn run_differential_parallel(
         cases: cfg.cases,
         strategy_runs: 0,
         par_runs: 0,
-        batch_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
     for s in &stats {
         report.strategy_runs += s.strategy_runs;
         report.par_runs += s.par_runs;
-        report.batch_runs += s.batch_runs;
         if s.nested {
             report.nested_queries += 1;
         }

@@ -139,10 +139,6 @@ pub struct RunLimits {
     /// Deterministic fault injection (testing): fail at exactly this
     /// governor checkpoint.
     pub fault: Option<InjectedFault>,
-    /// Executor batch size (overrides `BYPASS_BATCH`; `0` forces the
-    /// legacy row-at-a-time path). A mechanism knob: results, errors,
-    /// counters and byte accounting are identical at every value.
-    pub batch_rows: Option<usize>,
 }
 
 impl RunLimits {
@@ -165,9 +161,6 @@ impl RunLimits {
         }
         if let Some(m) = self.morsel_rows {
             options.morsel_rows = m;
-        }
-        if let Some(b) = self.batch_rows {
-            options.batch_rows = b;
         }
     }
 }

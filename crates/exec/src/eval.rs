@@ -3,9 +3,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bypass_types::{
-    batch_rows_or, compare_tuples, fxhash, par, tuple_bytes, Batch, CancelToken, Error, FaultKind,
-    FxHashMap, GovEvent, InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple,
-    Value, BATCH_ROWS, SHARED_ROW_BYTES, VALUE_BYTES,
+    compare_tuples, fxhash, par, tuple_bytes, Batch, CancelToken, Error, FaultKind, FxHashMap,
+    GovEvent, InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value,
+    BLOCK_ROWS, SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 use crate::agg::{create_accumulator, Accumulator, AggSpec};
@@ -13,7 +13,7 @@ use crate::expr::{eval_binop, in_membership, outer_value, value_truth, PhysExpr}
 use crate::node::{PhysKind, PhysNode};
 use crate::vector::{
     chain_bindable, cmp_op_truth, compile_chain, ranked_order, ChainOrder, ChainStats,
-    CompiledChain, EPOCH_ROWS,
+    CompiledChain,
 };
 
 /// Execution options — these implement the evaluation-strategy knobs the
@@ -63,15 +63,6 @@ pub struct ExecOptions {
     /// operator input with at most this many rows runs serially. Tests
     /// shrink it to force tiny inputs onto the parallel path.
     pub morsel_rows: usize,
-    /// Rows per columnar chunk on the vectorized σ/Π/σ± path
-    /// (`BYPASS_BATCH`; `0` — and, degenerately, `1` — selects the
-    /// legacy row-at-a-time loop). Purely a mechanism knob: results,
-    /// errors, counters and governor byte accounting are identical at
-    /// every batch size (DESIGN.md §8). Note the *adaptive disjunct
-    /// ordering* is independent of this switch — it applies to chained
-    /// predicates in row mode too, precisely so batch size can never
-    /// change which order was used.
-    pub batch_rows: usize,
 }
 
 /// Default morsel granularity: large enough that forking a worker
@@ -91,7 +82,6 @@ impl Default for ExecOptions {
             fault: None,
             threads: par::thread_count(),
             morsel_rows: MORSEL_ROWS,
-            batch_rows: batch_rows_or(BATCH_ROWS),
         }
     }
 }
@@ -141,12 +131,11 @@ pub struct ExecContext {
     /// values in place and allocate nothing.
     corr: FxHashMap<u64, Vec<(usize, Tuple, Arc<Relation>)>>,
     deadline: Option<Instant>,
-    ticks: u32,
-    /// Governor checkpoint counter: incremented on every [`tick`]
-    /// (per-row progress) and every [`charge`] (materialization).
-    /// Depends only on the plan and the data — never on wall time,
-    /// metrics collection or worker threads — so fault injection at
-    /// checkpoint `k` is exactly reproducible.
+    /// Governor checkpoint counter: one per closed [`Meter`] block and
+    /// one per one-shot [`charge`](Self::charge). Depends only on the
+    /// plan and the data — never on wall time, metrics collection or
+    /// worker threads — so fault injection at checkpoint `k` is exactly
+    /// reproducible.
     checkpoints: u64,
     /// Bytes currently charged to the query under the deterministic
     /// byte model (see `bypass_types::govern`).
@@ -162,19 +151,16 @@ pub struct ExecContext {
     /// (hash-table build sizes, collision re-verifies). Only written
     /// when metrics are enabled.
     pending: PendingCounters,
-    /// Morsel workers only: the governor event log recorded for exact
-    /// replay on the master context. `None` on the master and in
-    /// summary mode (no fault plan, no memory budget), where a
-    /// three-counter summary suffices.
+    /// Morsel workers only: the governor event log replayed on the
+    /// master context. `None` on the master.
     gov_log: Option<Vec<GovEvent>>,
     /// Per-node cache of the parallel-safety verdict (may this node's
     /// expressions run on a worker without touching the memo caches?),
     /// keyed by node pointer.
     par_safe_cache: FxHashMap<usize, bool>,
-    /// Per-node cache of compiled predicate chains for the vectorized
-    /// σ/σ± path (`None` = predicate not chainable, use the legacy
-    /// loop), keyed by node pointer.
-    chains: FxHashMap<usize, Option<Arc<CompiledChain>>>,
+    /// Per-node cache of compiled σ/σ± predicate chains, keyed by node
+    /// pointer.
+    chains: FxHashMap<usize, Arc<CompiledChain>>,
     /// Per-node cache of the kernel-column transpose of the node's
     /// current input relation. A memoized correlated subplan re-invokes
     /// the same σ node over the same `Arc`-shared scan once per outer
@@ -202,8 +188,8 @@ pub struct ExecCounters {
     /// model — identical on every run of the same plan over the same
     /// data, so it is pinned in `BENCH_baseline.json`).
     pub peak_memory_bytes: u64,
-    /// Total governor checkpoints passed (per-row ticks plus
-    /// materialization charges). The fault oracle samples injection
+    /// Total governor checkpoints passed (one per operator block plus
+    /// one per one-shot charge). The fault oracle samples injection
     /// points from `1..=checkpoints`.
     pub checkpoints: u64,
     /// Always-on totals of the per-disjunct adaptive-ordering
@@ -211,7 +197,7 @@ pub struct ExecCounters {
     /// σ/σ± in the query: predicate evaluations performed …
     pub disjunct_evals: u64,
     /// … and disjuncts decided (TRUE under OR / FALSE under AND).
-    /// Semantic counts — batch-size and worker-count independent —
+    /// Semantic counts — morsel-size and worker-count independent —
     /// feeding the metrics registry's selectivity counters.
     pub disjunct_hits: u64,
 }
@@ -238,7 +224,7 @@ struct PendingCounters {
 
 /// Per-disjunct counters of a chained filter predicate: how many rows
 /// reached the disjunct (were evaluated against it) and how many it
-/// decided (TRUE under OR, FALSE under AND). Semantic counts — batch
+/// decided (TRUE under OR, FALSE under AND). Semantic counts — morsel
 /// size and worker count independent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DisjunctMetrics {
@@ -323,9 +309,10 @@ impl NodeMetrics {
     }
 }
 
-/// Amortized per-entry overhead of the join hash table beyond the key
-/// values themselves: chain link + row id + bucket-slot share.
-const JOIN_ENTRY_BYTES: u64 = 16;
+/// Amortized per-entry overhead of a join or group hash table beyond
+/// the key values themselves: chain link + row/group id + bucket-slot
+/// share.
+const HASH_ENTRY_BYTES: u64 = 16;
 
 /// Fixed state of one aggregate accumulator (enum tag + payload; the
 /// DISTINCT variants additionally report their set growth through
@@ -336,28 +323,111 @@ const ACC_BYTES: u64 = 48;
 /// slot + `Arc` handle + counters).
 const MEMO_ENTRY_BYTES: u64 = 64;
 
-/// A morsel worker's recorded governor effects, replayed in morsel
-/// order on the master context (see the morsel section of the
-/// `ExecContext` impl).
-enum GovLog {
-    /// Fast path (no fault plan, no byte budget): the worker's
-    /// checkpoint count, net byte delta and local peak reproduce the
-    /// serial trajectory exactly when merged in order.
-    Summary {
-        checkpoints: u64,
-        net_bytes: u64,
-        peak_bytes: u64,
-    },
-    /// Exact path: the full run-length-encoded event stream, replayed
-    /// event by event so budget trips and injected faults land on the
-    /// same checkpoint and byte count as a serial run.
-    Events(Vec<GovEvent>),
+/// Block-grained governor accounting for one operator loop.
+///
+/// Units are the operator's input rows — (left, right) pairs for
+/// nested-loop joins — and block `k` is units
+/// `[k·BLOCK_ROWS, (k+1)·BLOCK_ROWS)`. The meter sums the net bytes the
+/// block charges (minus any scratch it frees again) and passes exactly
+/// one governor checkpoint when the block ends; the partial last block
+/// closes in [`Meter::finish`]. Block indices are absolute within the
+/// operator input, so checkpoint indices and byte totals never depend
+/// on how morsels split the input.
+#[derive(Debug, Default)]
+struct Meter {
+    /// Absolute index of the next unit.
+    unit: u64,
+    /// Net bytes of the open block.
+    bytes: i64,
+    /// Morsel workers only: the event-log index of this meter's first
+    /// checkpoint — where the master adds the carry of the morsels
+    /// before it.
+    first_event: Option<usize>,
+}
+
+impl Meter {
+    /// A meter whose first unit has absolute index `unit`.
+    fn at(unit: u64) -> Meter {
+        Meter {
+            unit,
+            ..Meter::default()
+        }
+    }
+
+    /// Add `bytes` of materialized state to the open block.
+    #[inline]
+    fn charge(&mut self, bytes: u64) {
+        self.bytes += bytes as i64;
+    }
+
+    /// Free `bytes` of scratch: they come off the open block's net, so
+    /// bytes charged and freed within one block never reach the
+    /// governor.
+    #[inline]
+    fn release(&mut self, bytes: u64) {
+        self.bytes -= bytes as i64;
+    }
+
+    /// Finish one unit.
+    #[inline]
+    fn step(&mut self, ctx: &mut ExecContext) -> Result<()> {
+        self.advance(ctx, 1)
+    }
+
+    /// Finish `n` units that end at or before the next block boundary,
+    /// closing the block when they reach it.
+    #[inline]
+    fn advance(&mut self, ctx: &mut ExecContext, n: u64) -> Result<()> {
+        let block = self.unit / BLOCK_ROWS as u64;
+        self.unit += n;
+        if self.unit / BLOCK_ROWS as u64 > block {
+            self.close(ctx)?;
+        }
+        Ok(())
+    }
+
+    fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
+        if self.first_event.is_none() {
+            self.first_event = ctx.gov_log.as_ref().map(Vec::len);
+        }
+        ctx.checkpoint(std::mem::take(&mut self.bytes))
+    }
+
+    /// End of the operator input: close the partial last block, and any
+    /// bytes charged after the last boundary.
+    fn finish(mut self, ctx: &mut ExecContext) -> Result<()> {
+        if !self.unit.is_multiple_of(BLOCK_ROWS as u64) || self.bytes != 0 {
+            self.close(ctx)?;
+        }
+        Ok(())
+    }
+}
+
+/// Split the absolute input range `range` at block boundaries.
+fn block_ranges(range: std::ops::Range<usize>) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let mut start = range.start;
+    std::iter::from_fn(move || {
+        (start < range.end).then(|| {
+            let end = range.end.min((start / BLOCK_ROWS + 1) * BLOCK_ROWS);
+            let block = start..end;
+            start = end;
+            block
+        })
+    })
 }
 
 /// Everything a morsel worker hands back to the master for the in-order
 /// merge.
 struct MorselOut<P> {
-    gov: GovLog,
+    /// The worker's governor events, replayed in order.
+    events: Vec<GovEvent>,
+    /// Index in `events` of the morsel meter's first checkpoint; the
+    /// master adds its carry there. `None` when the morsel closed no
+    /// block.
+    first_block: Option<usize>,
+    /// Net bytes of the block the morsel ended inside, handed on to the
+    /// next block checkpoint.
+    carry: i64,
     metrics: Option<HashMap<usize, NodeMetrics>>,
     pending: PendingCounters,
     /// Inclusive nanos of nested-plan evaluations inside worker
@@ -376,11 +446,9 @@ struct MorselOut<P> {
 impl<P> MorselOut<P> {
     fn skipped() -> MorselOut<P> {
         MorselOut {
-            gov: GovLog::Summary {
-                checkpoints: 0,
-                net_bytes: 0,
-                peak_bytes: 0,
-            },
+            events: Vec::new(),
+            first_block: None,
+            carry: 0,
             metrics: None,
             pending: PendingCounters::default(),
             child_nanos: 0,
@@ -509,6 +577,114 @@ impl JoinHashTable {
     }
 }
 
+/// Phase-1 output of the parallel aggregate for one row: group key, its
+/// precomputed hash, and the evaluated aggregate arguments.
+type AggEntry = (Vec<Value>, u64, Vec<Option<Value>>);
+
+/// The group arena of a hash aggregate, shared by the serial and the
+/// parallel path. Groups live in flat arenas in first-appearance order
+/// (the deterministic output order): group `g`'s key occupies
+/// `keys[g*width..]` and its accumulators `accs[g*naggs..]`, so a new
+/// group costs zero per-group heap allocations (amortized arena growth
+/// only). The hash side maps the *precomputed* key hash to an intrusive
+/// chain of group indices.
+struct Groups<'a> {
+    aggs: &'a [AggSpec],
+    width: usize,
+    keys: Vec<Value>,
+    accs: Vec<Accumulator>,
+    /// group → next group with an equal hash (`NO_ENTRY` terminates).
+    next: Vec<u32>,
+    heads: FxHashMap<u64, u32>,
+    /// Bytes charged for the arenas and DISTINCT growth; released when
+    /// the aggregate's arm ends.
+    charged: u64,
+}
+
+impl<'a> Groups<'a> {
+    fn new(width: usize, aggs: &'a [AggSpec]) -> Groups<'a> {
+        Groups {
+            aggs,
+            width,
+            keys: Vec::new(),
+            accs: Vec::new(),
+            next: Vec::new(),
+            heads: FxHashMap::default(),
+            charged: 0,
+        }
+    }
+
+    /// The group of `key` (hash precomputed). On first appearance the
+    /// key is moved — not cloned — out of `key` into the arena, and the
+    /// new group's key slots, hash entry and accumulator state are
+    /// charged to `meter`.
+    fn group(&mut self, key: &mut Vec<Value>, hash: u64, meter: &mut Meter) -> usize {
+        let mut cur = self.heads.get(&hash).copied().unwrap_or(NO_ENTRY);
+        while cur != NO_ENTRY {
+            let s = cur as usize * self.width;
+            if self.keys[s..s + self.width] == key[..] {
+                return cur as usize;
+            }
+            cur = self.next[cur as usize];
+        }
+        let g = self.next.len();
+        // Prepend to the hash chain (group order is kept by the arenas,
+        // not the chains).
+        let prev = self.heads.insert(hash, g as u32);
+        self.next.push(prev.unwrap_or(NO_ENTRY));
+        let mut bytes = HASH_ENTRY_BYTES + self.aggs.len() as u64 * ACC_BYTES;
+        for v in key.iter() {
+            bytes += VALUE_BYTES + bypass_types::value_heap_bytes(v);
+        }
+        self.keys.append(key);
+        self.accs.extend(self.aggs.iter().map(create_accumulator));
+        self.charged += bytes;
+        meter.charge(bytes);
+        g
+    }
+
+    /// Fold one row into aggregate `j` of group `g`, charging DISTINCT
+    /// set growth to `meter`.
+    #[inline]
+    fn update(
+        &mut self,
+        g: usize,
+        j: usize,
+        t: &Tuple,
+        v: Option<&Value>,
+        meter: &mut Meter,
+    ) -> Result<()> {
+        let grown = self.accs[g * self.aggs.len() + j].update(t, v)?;
+        if grown != 0 {
+            self.charged += grown;
+            meter.charge(grown);
+        }
+        Ok(())
+    }
+
+    /// One output row per group — key values, then the finished
+    /// aggregates — charged per block of groups.
+    fn finish(self, ctx: &mut ExecContext) -> Result<Vec<Tuple>> {
+        let mut out = Vec::with_capacity(self.next.len());
+        let mut keys = self.keys.into_iter();
+        let mut accs = self.accs.into_iter();
+        let mut meter = Meter::default();
+        for _ in 0..self.next.len() {
+            let mut vals: Vec<Value> = Vec::with_capacity(self.width + self.aggs.len());
+            vals.extend(keys.by_ref().take(self.width));
+            for a in accs.by_ref().take(self.aggs.len()) {
+                vals.push(a.finish()?);
+            }
+            let row = Tuple::new(vals);
+            meter.charge(tuple_bytes(&row));
+            out.push(row);
+            meter.step(ctx)?;
+        }
+        meter.finish(ctx)?;
+        Ok(out)
+    }
+}
+
 impl ExecContext {
     pub fn new(options: ExecOptions) -> ExecContext {
         let deadline = options.timeout.map(|t| Instant::now() + t);
@@ -520,7 +696,6 @@ impl ExecContext {
             uncorr: FxHashMap::default(),
             corr: FxHashMap::default(),
             deadline,
-            ticks: 0,
             checkpoints: 0,
             used_bytes: 0,
             peak_bytes: 0,
@@ -553,62 +728,27 @@ impl ExecContext {
         c
     }
 
-    /// One governor checkpoint: per-row progress ticks and byte charges
-    /// both funnel through here. In order of precedence the checkpoint
-    /// (1) fires a deterministically injected fault when its index
-    /// matches, (2) polls the cancel token, and (3) — amortized over
-    /// 4096 ticks, because `Instant::now` is the only non-free check —
-    /// enforces the wall-clock deadline. The checkpoint *index*
-    /// depends only on plan + data, never on timing.
-    #[inline]
-    fn tick(&mut self) -> Result<()> {
-        if self.gov_log.is_some() {
-            self.log_tick();
-        }
-        self.tick_inner()
-    }
-
-    /// The checkpoint body shared by [`tick`] and replayed charges:
-    /// everything except event logging (a replayed `Charge` must not
-    /// re-log its embedded tick).
-    #[inline]
-    fn tick_inner(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        if self.options.fault.is_some() || self.options.cancel.is_some() {
-            self.governed_checkpoint()?;
-        }
-        self.ticks = self.ticks.wrapping_add(1);
-        // The very first tick also checks the clock, so an
-        // already-expired deadline (timeout zero) fires even on queries
-        // shorter than the amortization window.
-        if self.ticks == 1 || self.ticks.is_multiple_of(4096) {
-            if let Some(d) = self.deadline {
-                let now = Instant::now();
-                if now > d {
-                    return Err(self.deadline_error(now, d));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run-length append one plain checkpoint to the worker event log.
-    #[cold]
-    fn log_tick(&mut self) {
+    /// One governor checkpoint, closing an operator block or a one-shot
+    /// materialization: apply its net byte delta and enforce the memory
+    /// cap, then fire an injected fault whose index matches, poll the
+    /// cancel token, and read the clock when a deadline is set. The
+    /// checkpoint *index* depends only on plan + data, never on timing.
+    fn checkpoint(&mut self, delta: i64) -> Result<()> {
         if let Some(log) = &mut self.gov_log {
-            if let Some(GovEvent::Ticks(n)) = log.last_mut() {
-                *n += 1;
-            } else {
-                log.push(GovEvent::Ticks(1));
+            log.push(GovEvent::Checkpoint(delta));
+        }
+        self.used_bytes = self.used_bytes.saturating_add_signed(delta);
+        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
+        if let Some(cap) = self.options.max_memory_bytes {
+            if self.used_bytes > cap {
+                return Err(Error::resource_exhausted(
+                    ResourceKind::Memory,
+                    cap,
+                    self.used_bytes,
+                ));
             }
         }
-    }
-
-    /// Cold path of [`tick`]: fault injection + cancel polling. Split
-    /// out so production runs (no fault plan, no token) pay a single
-    /// predictable branch per checkpoint.
-    #[cold]
-    fn governed_checkpoint(&mut self) -> Result<()> {
+        self.checkpoints += 1;
         if let Some(f) = self.options.fault {
             if self.checkpoints == f.checkpoint {
                 return Err(self.fault_error(f.kind));
@@ -619,12 +759,17 @@ impl ExecContext {
                 return Err(Error::cancelled());
             }
         }
+        if let Some(d) = self.deadline {
+            let now = Instant::now();
+            if now > d {
+                return Err(self.deadline_error(now, d));
+            }
+        }
         Ok(())
     }
 
     /// The typed error an injected fault of `kind` raises, built from
-    /// the governor's current state (shared by the serial checkpoint
-    /// path and the morsel-replay path).
+    /// the governor's current state.
     fn fault_error(&self, kind: FaultKind) -> Error {
         match kind {
             FaultKind::Memory => Error::resource_exhausted(
@@ -654,41 +799,13 @@ impl ExecContext {
         Error::resource_exhausted(ResourceKind::Time, limit, limit.saturating_add(over))
     }
 
-    /// Charge `bytes` of materialized state against the memory budget.
-    /// Every charge is also a governor checkpoint, so faults can be
-    /// injected (and cancellation observed) exactly at materialization
-    /// points, not just row boundaries.
-    #[inline]
+    /// Charge a one-shot materialization (bulk row copies, memo
+    /// entries) as its own checkpoint.
     fn charge(&mut self, bytes: u64) -> Result<()> {
-        if let Some(log) = &mut self.gov_log {
-            log.push(GovEvent::Charge(bytes));
-        }
-        self.charge_inner(bytes)
-    }
-
-    /// The charge body shared by [`charge`] and morsel replay: apply
-    /// the bytes, enforce the cap, pass one checkpoint — without
-    /// re-logging (a `Charge` event embeds its own tick).
-    #[inline]
-    fn charge_inner(&mut self, bytes: u64) -> Result<()> {
-        self.used_bytes += bytes;
-        if self.used_bytes > self.peak_bytes {
-            self.peak_bytes = self.used_bytes;
-        }
-        if let Some(cap) = self.options.max_memory_bytes {
-            if self.used_bytes > cap {
-                return Err(Error::resource_exhausted(
-                    ResourceKind::Memory,
-                    cap,
-                    self.used_bytes,
-                ));
-            }
-        }
-        self.tick_inner()
+        self.checkpoint(bytes as i64)
     }
 
     /// Charge `n` shared-row pushes (refcount bumps) in one step.
-    #[inline]
     fn charge_shared_rows(&mut self, n: usize) -> Result<()> {
         self.charge(n as u64 * SHARED_ROW_BYTES)
     }
@@ -721,15 +838,18 @@ impl ExecContext {
     //
     // An operator arm that loops over one input relation can hand that
     // loop to `run_morsels`: the serial path runs the loop body over
-    // the full range on `self` (byte-for-byte the pre-parallel code
-    // path), the parallel path splits the range into fixed-size morsels
-    // executed by scoped workers on *forked* contexts. Workers are
-    // speculative — their governor starts at zero bytes and they never
-    // see the fault plan — and their effects are replayed on the master
-    // in morsel order, which makes every determinism invariant hold by
-    // construction: checkpoint indices, peak/used bytes, memory-budget
-    // trip points and injected-fault landing sites are identical to a
-    // serial run, regardless of the worker count.
+    // the full range on `self`, the parallel path splits the range into
+    // fixed-size morsels executed by scoped workers on *forked*
+    // contexts. Workers are speculative — their governor starts at zero
+    // bytes and they never see the fault plan — and their event logs
+    // are replayed on the master in morsel order. Blocks are absolute
+    // within the operator input, so a morsel may end inside one: it
+    // hands the block's partial bytes to the master as a *carry*, which
+    // the master adds into the next block checkpoint. Every
+    // determinism invariant thus holds by construction: checkpoint
+    // indices, peak/used bytes, memory-budget trip points and
+    // injected-fault landing sites are identical to a serial run,
+    // regardless of the worker count or morsel size.
 
     /// May this node's expressions run on a worker? True iff no
     /// subquery inside them would probe a memo cache (workers hold
@@ -811,101 +931,20 @@ impl ExecContext {
         self.options.threads > 1 && total > self.options.morsel_rows && self.par_safe_node(node)
     }
 
-    /// Record/replay mode: with a fault plan or a byte budget armed the
-    /// workers keep an exact event log; otherwise a three-counter
-    /// summary reproduces checkpoints/used/peak exactly (the serial
-    /// trajectory at a morsel boundary *is* the master's state at merge
-    /// time, so `peak = max(peak, used + local_peak)` is not an
-    /// approximation).
-    fn exact_replay(&self) -> bool {
-        self.options.fault.is_some() || self.options.max_memory_bytes.is_some()
-    }
-
-    /// The options a morsel worker runs under: no fault plan (faults
-    /// fire during replay on the master, at the exact global
-    /// checkpoint), no nested fan-out, and in summary mode no byte cap
-    /// (a worker's local `used` is relative, so a cap check there would
-    /// be meaningless — in exact mode the cap stays on as a speculative
-    /// early-abort; replay reproduces the authoritative error).
-    fn worker_options(&self) -> ExecOptions {
-        let mut o = self.options.clone();
-        o.fault = None;
-        o.threads = 1;
-        if !self.exact_replay() {
-            o.max_memory_bytes = None;
-        }
-        o
-    }
-
-    /// Replay one worker's recorded governor effects on the master.
-    fn replay(&mut self, gov: GovLog) -> Result<()> {
-        match gov {
-            GovLog::Summary {
-                checkpoints,
-                net_bytes,
-                peak_bytes,
-            } => {
-                let candidate = self.used_bytes + peak_bytes;
-                if candidate > self.peak_bytes {
-                    self.peak_bytes = candidate;
-                }
-                self.used_bytes += net_bytes;
-                self.checkpoints += checkpoints;
-                self.ticks = self.ticks.wrapping_add(checkpoints as u32);
-                Ok(())
-            }
-            GovLog::Events(events) => {
-                for ev in events {
-                    match ev {
-                        GovEvent::Ticks(n) => self.replay_ticks(n)?,
-                        GovEvent::Charge(b) => self.charge_inner(b)?,
-                        GovEvent::Release(b) => self.used_bytes = self.used_bytes.saturating_sub(b),
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Bulk-replay `n` plain checkpoints: an injected fault whose index
-    /// falls inside the batch fires with exactly that checkpoint count
-    /// recorded, cancellation is polled once per batch, and the
-    /// deadline is checked when the batch crosses an amortization
-    /// boundary — same guarantees as `n` serial ticks.
-    fn replay_ticks(&mut self, n: u64) -> Result<()> {
-        if let Some(f) = self.options.fault {
-            if self.checkpoints < f.checkpoint && f.checkpoint <= self.checkpoints + n {
-                self.checkpoints = f.checkpoint;
-                return Err(self.fault_error(f.kind));
-            }
-        }
-        self.checkpoints += n;
-        if let Some(c) = &self.options.cancel {
-            if c.is_cancelled() {
-                return Err(Error::cancelled());
-            }
-        }
-        let before = self.ticks;
-        self.ticks = self.ticks.wrapping_add(n as u32);
-        // Crossed a 4096-tick boundary (or covers a full window)?
-        if n >= 4096 || before / 4096 != self.ticks / 4096 || before == 0 {
-            if let Some(d) = self.deadline {
-                let now = Instant::now();
-                if now > d {
-                    return Err(self.deadline_error(now, d));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fork a worker context for one morsel: shared read-only options
-    /// (fault stripped, single-threaded), the same outer-binding stack
-    /// (refcount bumps), fresh memo maps that the safety gate
-    /// guarantees stay untouched, and a zeroed governor.
-    fn fork_worker(&self, template: &ExecOptions, exact: bool) -> ExecContext {
+    /// Fork a worker context for one morsel: the options a worker runs
+    /// under (no fault plan — faults fire during replay on the master,
+    /// at the exact global checkpoint — and no nested fan-out; the byte
+    /// cap stays on as a speculative early abort, since a worker's
+    /// relative `used` never exceeds the master's at the same
+    /// checkpoint), the same outer-binding stack (refcount bumps), fresh
+    /// memo maps that the safety gate guarantees stay untouched, a
+    /// zeroed governor and an empty event log.
+    fn fork_worker(&self) -> ExecContext {
+        let mut options = self.options.clone();
+        options.fault = None;
+        options.threads = 1;
         ExecContext {
-            options: template.clone(),
+            options,
             metrics: self.metrics.is_some().then(HashMap::new),
             // One sentinel frame so nested-plan evaluations inside
             // worker expressions have a parent to bill their inclusive
@@ -915,13 +954,12 @@ impl ExecContext {
             uncorr: FxHashMap::default(),
             corr: FxHashMap::default(),
             deadline: self.deadline,
-            ticks: 0,
             checkpoints: 0,
             used_bytes: 0,
             peak_bytes: 0,
             counters: ExecCounters::default(),
             pending: PendingCounters::default(),
-            gov_log: exact.then(Vec::new),
+            gov_log: Some(Vec::new()),
             par_safe_cache: FxHashMap::default(),
             // Workers never compile chains or transpose batches: the
             // master resolves the chain, epoch order and cached batch
@@ -933,21 +971,30 @@ impl ExecContext {
     }
 
     /// Drive one operator loop over `total` input rows, either serially
-    /// (the body runs on `self` over the full range — governor
-    /// sequence identical to the pre-parallel executor) or across the
-    /// worker pool in fixed-size morsels. Returns the per-morsel
-    /// payloads in input order; the caller concatenates.
-    fn run_morsels<P, F>(&mut self, node: &Arc<PhysNode>, total: usize, body: F) -> Result<Vec<P>>
+    /// (the body runs on `self` over the full range) or across the
+    /// worker pool in fixed-size morsels. Each input row is `units`
+    /// governor units (1, or the right side's length for nested-loop
+    /// joins); the body steps the [`Meter`] it is handed once per unit
+    /// and charges its bytes there. Returns the per-morsel payloads in
+    /// input order; the caller concatenates.
+    fn run_morsels<P, F>(
+        &mut self,
+        node: &Arc<PhysNode>,
+        total: usize,
+        units: u64,
+        body: F,
+    ) -> Result<Vec<P>>
     where
         P: Send,
-        F: Fn(&mut ExecContext, std::ops::Range<usize>) -> Result<P> + Sync,
+        F: Fn(&mut ExecContext, std::ops::Range<usize>, &mut Meter) -> Result<P> + Sync,
     {
         if !self.morsel_gate(node, total) {
-            return Ok(vec![body(self, 0..total)?]);
+            let mut meter = Meter::default();
+            let payload = body(self, 0..total, &mut meter)?;
+            meter.finish(self)?;
+            return Ok(vec![payload]);
         }
         let threads = self.options.threads;
-        let exact = self.exact_replay();
-        let template = self.worker_options();
         // Aim for ~4 morsels per worker (pull-based balancing without
         // tiny fragments), capped at the configured morsel size.
         let chunk = (total / (threads * 4)).clamp(1, self.options.morsel_rows);
@@ -962,17 +1009,19 @@ impl ExecContext {
             if stop.load(Ordering::Relaxed) < idx {
                 return MorselOut::skipped();
             }
-            let mut w = self.fork_worker(&template, exact);
+            let mut w = self.fork_worker();
+            let mut meter = Meter::at(range.start as u64 * units);
             let _span = bypass_trace::span("exec.morsel");
-            let payload = body(&mut w, range.clone());
+            let payload = body(&mut w, range.clone(), &mut meter);
             if payload.is_err() {
                 stop.fetch_min(idx, Ordering::Relaxed);
             }
-            w.into_morsel_out(payload, exact)
+            w.into_morsel_out(payload, meter)
         });
         // In-order merge: governor effects first (authoritative errors
         // — budget trips and injected faults — surface here at their
         // exact serial checkpoint), then the payload.
+        let mut carry = 0i64;
         let mut payloads = Vec::with_capacity(outs.len());
         for out in outs {
             debug_assert!(
@@ -984,7 +1033,16 @@ impl ExecContext {
                         == 0,
                 "morsel worker probed a memo cache despite the safety gate"
             );
-            self.replay(out.gov)?;
+            for (i, ev) in out.events.into_iter().enumerate() {
+                match ev {
+                    GovEvent::Checkpoint(delta) if out.first_block == Some(i) => {
+                        self.checkpoint(delta + std::mem::take(&mut carry))?
+                    }
+                    GovEvent::Checkpoint(delta) => self.checkpoint(delta)?,
+                    GovEvent::Release(b) => self.release(b),
+                }
+            }
+            carry += out.carry;
             let p = out.payload?;
             if let (Some(master), Some(worker)) = (self.metrics.as_mut(), out.metrics) {
                 for (ptr, wm) in worker {
@@ -1017,22 +1075,21 @@ impl ExecContext {
             }
             payloads.push(p);
         }
+        let last = Meter {
+            unit: total as u64 * units,
+            bytes: carry,
+            first_event: None,
+        };
+        last.finish(self)?;
         Ok(payloads)
     }
 
     /// Tear a worker down into its mergeable parts.
-    fn into_morsel_out<P>(self, payload: Result<P>, exact: bool) -> MorselOut<P> {
-        let gov = if exact {
-            GovLog::Events(self.gov_log.unwrap_or_default())
-        } else {
-            GovLog::Summary {
-                checkpoints: self.checkpoints,
-                net_bytes: self.used_bytes,
-                peak_bytes: self.peak_bytes,
-            }
-        };
+    fn into_morsel_out<P>(self, payload: Result<P>, meter: Meter) -> MorselOut<P> {
         MorselOut {
-            gov,
+            events: self.gov_log.unwrap_or_default(),
+            first_block: meter.first_event,
+            carry: meter.bytes,
             metrics: self.metrics,
             pending: self.pending,
             child_nanos: self.child_nanos.first().copied().unwrap_or(0),
@@ -1060,24 +1117,18 @@ impl ExecContext {
     // Vectorized / adaptively ordered predicate chains (DESIGN.md §8).
     // -----------------------------------------------------------------
 
-    /// The compiled chain for a σ/σ± node, if its predicate is
-    /// chainable *and* every outer reference of the chain resolves
-    /// against the current binding stack (re-checked per call — the
-    /// same node can be invoked under different stacks inside nested
-    /// subplans). `None` falls back to the legacy row loop.
+    /// The compiled chain for a σ/σ± node, compiled once per node.
     fn chain_for(
         &mut self,
         node: &Arc<PhysNode>,
         predicate: &PhysExpr,
         arity: usize,
-    ) -> Option<Arc<CompiledChain>> {
+    ) -> Arc<CompiledChain> {
         let ptr = Arc::as_ptr(node) as usize;
-        let chain = self
-            .chains
+        self.chains
             .entry(ptr)
-            .or_insert_with(|| compile_chain(predicate, arity).map(Arc::new))
-            .clone()?;
-        chain_bindable(&chain, &self.outer).then_some(chain)
+            .or_insert_with(|| Arc::new(compile_chain(predicate, arity)))
+            .clone()
     }
 
     /// The kernel-column transpose of `input` for this node, cached
@@ -1103,43 +1154,64 @@ impl ExecContext {
         batch
     }
 
-    /// Drive a chained σ (`bypass == false`, negative stream unused) or
-    /// σ± (`bypass == true`) over the input rows.
+    /// Drive the predicate of a σ (`bypass == false`, negative stream
+    /// unused) or σ± (`bypass == true`) as a chain over the input rows.
     ///
-    /// Adaptive chains advance in fixed [`EPOCH_ROWS`] epochs: the term
-    /// order is frozen per epoch from the cumulative reach/decide
-    /// stats, each epoch fans out over `run_morsels` (stats ride back
-    /// as morsel payloads and fold commutatively), and the rank is
-    /// recomputed at the epoch boundary. Non-adaptive chains (nothing
-    /// to reorder) run as one full-input `run_morsels` call, keeping
-    /// the legacy parallel fan-out geometry.
+    /// Adaptive chains advance in [`BLOCK_ROWS`] epochs: the term order
+    /// is frozen per epoch from the cumulative reach/decide stats, each
+    /// epoch fans out over `run_morsels` (stats ride back as morsel
+    /// payloads and fold commutatively), and the rank is recomputed at
+    /// the epoch boundary. Non-adaptive chains (nothing to reorder) run
+    /// as one full-input `run_morsels` call.
+    ///
+    /// When an outer reference of the chain does not bind under the
+    /// current stack, every term runs per row in syntactic order, so
+    /// the unbound reference raises its error exactly where plain
+    /// left-to-right evaluation would.
     fn run_chain(
         &mut self,
         node: &Arc<PhysNode>,
         input: &Arc<Relation>,
-        chain: &Arc<CompiledChain>,
+        predicate: &PhysExpr,
         bypass: bool,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
-        let rows = input.rows();
-        let batch = (self.options.batch_rows > 1).then(|| self.chain_batch(node, input, chain));
+        let chain = self.chain_for(node, predicate, input.schema().arity());
+        let bound = chain_bindable(&chain, &self.outer);
+        let batch =
+            (bound && !chain.cols.is_empty()).then(|| self.chain_batch(node, input, &chain));
         let batch_ref: Option<&Batch> = batch.as_deref();
-        let mut stats = ChainStats::zeroed(chain);
+        let rows = input.rows();
+        let mut stats = ChainStats::zeroed(&chain);
         let mut pos = Vec::new();
         let mut neg = Vec::new();
-        let epoch = if chain.adaptive {
-            EPOCH_ROWS
+        let epoch = if chain.adaptive && bound {
+            BLOCK_ROWS
         } else {
             rows.len().max(1)
         };
-        let chain_ref: &CompiledChain = chain;
+        let chain_ref: &CompiledChain = &chain;
         let mut start = 0;
         while start < rows.len() {
             let end = rows.len().min(start + epoch);
-            let order = ranked_order(chain_ref, &stats);
+            // Unbound chains run once, in syntactic order: the order of
+            // terms never observed to decide.
+            let order = if bound {
+                ranked_order(chain_ref, &stats)
+            } else {
+                ranked_order(chain_ref, &ChainStats::zeroed(chain_ref))
+            };
             let slice = &rows[start..end];
-            let parts = self.run_morsels(node, slice.len(), |ctx, range| {
+            let parts = self.run_morsels(node, slice.len(), 1, |ctx, range, meter| {
                 let base = start + range.start;
-                ctx.chain_slice(chain_ref, &order, &slice[range], batch_ref, base, bypass)
+                ctx.chain_slice(
+                    chain_ref,
+                    &order,
+                    &slice[range],
+                    batch_ref,
+                    base,
+                    bypass,
+                    meter,
+                )
             })?;
             for ((p, n), st) in parts {
                 pos.extend(p);
@@ -1171,16 +1243,16 @@ impl ExecContext {
     }
 
     /// Evaluate one morsel's rows through the chain under a frozen
-    /// order. Batch mode first evaluates the order's *kernel prefix*
-    /// columnar-ly over a shrinking selection vector — kernels are
-    /// infallible, effect-free and governor-invisible — then finalizes
-    /// per row in input order, replaying the exact legacy tick/charge
-    /// sequence (σ: tick, then charge only kept rows; σ±: tick, charge,
-    /// then split). `batch` is the node's cached kernel-column
-    /// transpose of the *full* input (`None` = row mode); `base` is the
-    /// absolute index of `rows[0]` within it, so selection vectors
-    /// carry absolute lane indices.
-    #[allow(clippy::type_complexity)]
+    /// order, one block at a time. With a `batch` (the node's cached
+    /// kernel-column transpose of the *full* input) the order's *kernel
+    /// prefix* first runs columnar-ly over a shrinking selection vector
+    /// — kernels are infallible, effect-free and governor-invisible;
+    /// the remaining terms then run per row, in input order. Each block
+    /// charges its shared-row pushes (σ: kept rows; σ±: every row, as
+    /// the split is a refcount bump) at its one checkpoint. `base` is
+    /// the absolute index of `rows[0]`, so selection vectors carry
+    /// absolute lane indices.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn chain_slice(
         &mut self,
         chain: &CompiledChain,
@@ -1189,104 +1261,82 @@ impl ExecContext {
         batch: Option<&Batch>,
         base: usize,
         bypass: bool,
+        meter: &mut Meter,
     ) -> Result<((Vec<Tuple>, Vec<Tuple>), ChainStats)> {
         let mut stats = ChainStats::zeroed(chain);
         let mut pos = Vec::new();
         let mut neg = Vec::new();
-        let Some(batch) = batch else {
-            // Row mode — identical term order, no columnar prefix.
-            for t in rows {
-                self.tick()?;
-                if bypass {
-                    self.charge(SHARED_ROW_BYTES)?;
-                }
-                let truth =
-                    self.chain_eval_row(chain, order, &mut stats, t, 0, chain.identity())?;
-                if truth.is_true() {
-                    if !bypass {
-                        self.charge(SHARED_ROW_BYTES)?;
-                    }
-                    pos.push(t.clone());
-                } else if bypass {
-                    neg.push(t.clone());
-                }
-            }
-            return Ok(((pos, neg), stats));
-        };
-        let batch_rows = self.options.batch_rows;
         let decide = chain.decide();
-        // Per-chunk scratch, reused across chunks (allocation-free
+        // Per-block scratch, reused across blocks (allocation-free
         // steady state). `sel` holds absolute lane indices and is
         // filtered in place per kernel term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut decided: Vec<bool> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        let mut off = 0usize;
-        while off < rows.len() {
-            let n = (rows.len() - off).min(batch_rows);
-            let chunk = &rows[off..off + n];
-            let abs0 = (base + off) as u32;
+        for block in block_ranges(base..base + rows.len()) {
+            let n = block.len();
+            let chunk = &rows[block.start - base..block.end - base];
+            let abs0 = block.start as u32;
             acc.clear();
             acc.resize(n, chain.identity());
             decided.clear();
             decided.resize(n, false);
-            sel.clear();
-            sel.extend(abs0..abs0 + n as u32);
             let mut prefix = 0usize;
-            for &oi in &order.order {
-                let i = oi as usize;
-                let Some(kernel) = chain.terms[i].kernel.as_ref() else {
-                    break;
-                };
-                if !sel.is_empty() {
-                    stats.reach[i] += sel.len() as u64;
-                    let mut decide_n = 0u64;
-                    // Deciding lanes drop out of the selection; the
-                    // rest fold into the per-row accumulator and stay.
-                    if let Some((op, c, rhs)) = kernel.col_cmp(&self.outer) {
-                        // Hot shape: tight loop over the column slice
-                        // against a pre-resolved constant.
-                        let col = batch.column(c);
-                        sel.retain(|&lane| {
-                            let t = cmp_op_truth(op, &col[lane as usize], rhs);
-                            let row = (lane - abs0) as usize;
-                            if t == decide {
-                                decided[row] = true;
-                                decide_n += 1;
-                                false
-                            } else {
-                                acc[row] = chain.combine(acc[row], t);
-                                true
-                            }
-                        });
-                    } else {
-                        let outer = &self.outer;
-                        sel.retain(|&lane| {
-                            let t = kernel.eval_lane(batch, lane as usize, outer);
-                            let row = (lane - abs0) as usize;
-                            if t == decide {
-                                decided[row] = true;
-                                decide_n += 1;
-                                false
-                            } else {
-                                acc[row] = chain.combine(acc[row], t);
-                                true
-                            }
-                        });
+            if let Some(batch) = batch {
+                sel.clear();
+                sel.extend(abs0..abs0 + n as u32);
+                for &oi in &order.order {
+                    let i = oi as usize;
+                    let Some(kernel) = chain.terms[i].kernel.as_ref() else {
+                        break;
+                    };
+                    if !sel.is_empty() {
+                        stats.reach[i] += sel.len() as u64;
+                        let mut decide_n = 0u64;
+                        // Deciding lanes drop out of the selection; the
+                        // rest fold into the per-row accumulator and stay.
+                        if let Some((op, c, rhs)) = kernel.col_cmp(&self.outer) {
+                            // Hot shape: tight loop over the column slice
+                            // against a pre-resolved constant.
+                            let col = batch.column(c);
+                            sel.retain(|&lane| {
+                                let t = cmp_op_truth(op, &col[lane as usize], rhs);
+                                let row = (lane - abs0) as usize;
+                                if t == decide {
+                                    decided[row] = true;
+                                    decide_n += 1;
+                                    false
+                                } else {
+                                    acc[row] = chain.combine(acc[row], t);
+                                    true
+                                }
+                            });
+                        } else {
+                            let outer = &self.outer;
+                            sel.retain(|&lane| {
+                                let t = kernel.eval_lane(batch, lane as usize, outer);
+                                let row = (lane - abs0) as usize;
+                                if t == decide {
+                                    decided[row] = true;
+                                    decide_n += 1;
+                                    false
+                                } else {
+                                    acc[row] = chain.combine(acc[row], t);
+                                    true
+                                }
+                            });
+                        }
+                        stats.decide[i] += decide_n;
                     }
-                    stats.decide[i] += decide_n;
+                    prefix += 1;
                 }
-                prefix += 1;
             }
             // When every term was a kernel the fold is already final —
             // `chain_eval_row` from `prefix` would return `acc` without
             // touching the stats.
             let fully_kerneled = prefix == order.order.len();
+            let kept_before = pos.len();
             for (r, t) in chunk.iter().enumerate() {
-                self.tick()?;
-                if bypass {
-                    self.charge(SHARED_ROW_BYTES)?;
-                }
                 let truth = if decided[r] {
                     decide
                 } else if fully_kerneled {
@@ -1295,15 +1345,14 @@ impl ExecContext {
                     self.chain_eval_row(chain, order, &mut stats, t, prefix, acc[r])?
                 };
                 if truth.is_true() {
-                    if !bypass {
-                        self.charge(SHARED_ROW_BYTES)?;
-                    }
                     pos.push(t.clone());
                 } else if bypass {
                     neg.push(t.clone());
                 }
             }
-            off += n;
+            let shared = if bypass { n } else { pos.len() - kept_before };
+            meter.charge(shared as u64 * SHARED_ROW_BYTES);
+            meter.advance(self, n as u64)?;
         }
         Ok(((pos, neg), stats))
     }
@@ -1393,25 +1442,8 @@ impl ExecContext {
             PhysKind::Scan { data } => return Ok(data.clone()),
             PhysKind::Filter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                if let Some(chain) = self.chain_for(node, predicate, input.schema().arity()) {
-                    let (pos, _neg) = self.run_chain(node, &input, &chain, false)?;
-                    Relation::new(schema, pos)
-                } else {
-                    let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        let mut out = Vec::new();
-                        for t in &rows[range] {
-                            ctx.tick()?;
-                            if ctx.eval_truth(predicate, t)?.is_true() {
-                                // Shared-row: refcount bump, not a value copy.
-                                ctx.charge(SHARED_ROW_BYTES)?;
-                                out.push(t.clone());
-                            }
-                        }
-                        Ok(out)
-                    })?;
-                    Relation::new(schema, concat_rows(parts))
-                }
+                let (pos, _neg) = self.run_chain(node, &input, predicate, false)?;
+                Relation::new(schema, pos)
             }
             PhysKind::Project { input, exprs } => {
                 let input = self.eval_node(input, local)?;
@@ -1429,48 +1461,36 @@ impl ExecContext {
                         return Ok(Arc::new(Relation::new(schema, input.rows().to_vec())));
                     }
                     let rows = input.rows();
-                    let batch_rows = self.options.batch_rows;
-                    let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-                        let slice = &rows[range];
-                        let mut out = Vec::with_capacity(slice.len());
-                        if batch_rows > 1 {
-                            // Vectorized Π: transpose the chunk and
-                            // build output tuples column-wise. The
-                            // batch is uncharged scratch; the per-row
-                            // tick/charge sequence below is exactly
-                            // the row path's.
-                            for chunk in slice.chunks(batch_rows) {
-                                let batch = Batch::from_rows_cols(chunk, &cols);
-                                for p in batch.project_rows(&cols) {
-                                    ctx.tick()?;
-                                    ctx.charge(tuple_bytes(&p))?;
-                                    out.push(p);
-                                }
-                            }
-                        } else {
-                            for t in slice {
-                                ctx.tick()?;
-                                let p = t.project(&cols);
-                                ctx.charge(tuple_bytes(&p))?;
+                    let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
+                        let mut out = Vec::with_capacity(range.len());
+                        // Vectorized Π: transpose each block and build
+                        // its output tuples column-wise. The batch is
+                        // uncharged scratch.
+                        for block in block_ranges(range) {
+                            let n = block.len() as u64;
+                            let batch = Batch::from_rows_cols(&rows[block], &cols);
+                            for p in batch.project_rows(&cols) {
+                                meter.charge(tuple_bytes(&p));
                                 out.push(p);
                             }
+                            meter.advance(ctx, n)?;
                         }
                         Ok(out)
                     })?;
                     return Ok(Arc::new(Relation::new(schema, concat_rows(parts))));
                 }
                 let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::with_capacity(range.len());
                     for t in &rows[range] {
-                        ctx.tick()?;
                         let mut vals = Vec::with_capacity(exprs.len());
                         for e in exprs {
                             vals.push(ctx.eval_expr(e, t)?);
                         }
                         let row = Tuple::new(vals);
-                        ctx.charge(tuple_bytes(&row))?;
+                        meter.charge(tuple_bytes(&row));
                         out.push(row);
+                        meter.step(ctx)?;
                     }
                     Ok(out)
                 })?;
@@ -1483,26 +1503,22 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                let pairs = r.len() as u64;
+                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
                     let mut out = Vec::new();
                     for lt in &l.rows()[range] {
                         ctx.check_size(out.len())?;
                         for rt in r.rows() {
-                            ctx.tick()?;
-                            match predicate {
-                                None => {
-                                    let joined = lt.concat(rt);
-                                    ctx.charge(tuple_bytes(&joined))?;
-                                    out.push(joined);
-                                }
-                                Some(p) => {
-                                    let joined = lt.concat(rt);
-                                    if ctx.eval_truth(p, &joined)?.is_true() {
-                                        ctx.charge(tuple_bytes(&joined))?;
-                                        out.push(joined);
-                                    }
-                                }
+                            let joined = lt.concat(rt);
+                            let keep = match predicate {
+                                None => true,
+                                Some(p) => ctx.eval_truth(p, &joined)?.is_true(),
+                            };
+                            if keep {
+                                meter.charge(tuple_bytes(&joined));
+                                out.push(joined);
                             }
+                            meter.step(ctx)?;
                         }
                     }
                     Ok(out)
@@ -1523,25 +1539,24 @@ impl ExecContext {
                 // insertion order); the immutable table is shared by
                 // the probe morsels.
                 let table = self.build_hash_table(&r, right_keys)?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::new();
                     let mut probe = Vec::with_capacity(left_keys.len());
                     let mut reverify = 0u64;
                     for lt in &l.rows()[range] {
-                        ctx.tick()?;
-                        let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? else {
-                            continue; // NULL keys never match
-                        };
-                        for ri in table.probe(hash, &probe, &mut reverify) {
-                            let joined = lt.concat(&r.rows()[ri]);
-                            if let Some(p) = residual {
-                                if !ctx.eval_truth(p, &joined)?.is_true() {
-                                    continue;
+                        if let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? {
+                            for ri in table.probe(hash, &probe, &mut reverify) {
+                                let joined = lt.concat(&r.rows()[ri]);
+                                if let Some(p) = residual {
+                                    if !ctx.eval_truth(p, &joined)?.is_true() {
+                                        continue;
+                                    }
                                 }
+                                meter.charge(tuple_bytes(&joined));
+                                out.push(joined);
                             }
-                            ctx.charge(tuple_bytes(&joined))?;
-                            out.push(joined);
-                        }
+                        } // NULL keys never match
+                        meter.step(ctx)?;
                     }
                     if ctx.metrics.is_some() {
                         ctx.pending.reverify += reverify;
@@ -1567,12 +1582,11 @@ impl ExecContext {
                 let r = self.eval_node(right, local)?;
                 let table = self.build_hash_table(&r, right_keys)?;
                 let pad = padded_right(r.schema().arity(), defaults);
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::new();
                     let mut probe = Vec::with_capacity(left_keys.len());
                     let mut reverify = 0u64;
                     for lt in &l.rows()[range] {
-                        ctx.tick()?;
                         let mut matched = false;
                         if let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? {
                             for ri in table.probe(hash, &probe, &mut reverify) {
@@ -1583,15 +1597,16 @@ impl ExecContext {
                                     }
                                 }
                                 matched = true;
-                                ctx.charge(tuple_bytes(&joined))?;
+                                meter.charge(tuple_bytes(&joined));
                                 out.push(joined);
                             }
                         }
                         if !matched {
                             let padded = lt.concat(&pad);
-                            ctx.charge(tuple_bytes(&padded))?;
+                            meter.charge(tuple_bytes(&padded));
                             out.push(padded);
                         }
+                        meter.step(ctx)?;
                     }
                     if ctx.metrics.is_some() {
                         ctx.pending.reverify += reverify;
@@ -1613,22 +1628,23 @@ impl ExecContext {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
                 let pad = padded_right(r.schema().arity(), defaults);
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                let pairs = r.len() as u64;
+                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
                     let mut out = Vec::new();
                     for lt in &l.rows()[range] {
                         let mut matched = false;
                         for rt in r.rows() {
-                            ctx.tick()?;
                             let joined = lt.concat(rt);
                             if ctx.eval_truth(predicate, &joined)?.is_true() {
                                 matched = true;
-                                ctx.charge(tuple_bytes(&joined))?;
+                                meter.charge(tuple_bytes(&joined));
                                 out.push(joined);
                             }
+                            meter.step(ctx)?;
                         }
                         if !matched {
                             let padded = lt.concat(&pad);
-                            ctx.charge(tuple_bytes(&padded))?;
+                            meter.charge(tuple_bytes(&padded));
                             out.push(padded);
                         }
                     }
@@ -1652,37 +1668,37 @@ impl ExecContext {
                 // Aggregate the right side per distinct key, once.
                 let mut groups: FxHashMap<Value, Accumulator> = FxHashMap::default();
                 let mut scratch = 0u64; // group-map bytes, released below
+                let mut meter = Meter::default();
                 for rt in r.rows() {
-                    self.tick()?;
                     let k = self.eval_expr(right_key, rt)?;
-                    if k.is_null() {
-                        continue; // θ over NULL never matches
-                    }
-                    if !groups.contains_key(&k) {
-                        let bytes = VALUE_BYTES + bypass_types::value_heap_bytes(&k) + ACC_BYTES;
-                        self.charge(bytes)?;
-                        scratch += bytes;
-                    }
-                    let acc = groups.entry(k).or_insert_with(|| create_accumulator(agg));
-                    let v = match &agg.arg {
-                        Some(a) => Some(self.eval_expr(a, rt)?),
-                        None => None,
-                    };
-                    let grown = acc.update(rt, v.as_ref())?;
-                    if grown != 0 {
-                        self.charge(grown)?;
+                    // θ over NULL never matches.
+                    if !k.is_null() {
+                        if !groups.contains_key(&k) {
+                            let bytes =
+                                VALUE_BYTES + bypass_types::value_heap_bytes(&k) + ACC_BYTES;
+                            meter.charge(bytes);
+                            scratch += bytes;
+                        }
+                        let acc = groups.entry(k).or_insert_with(|| create_accumulator(agg));
+                        let v = match &agg.arg {
+                            Some(a) => Some(self.eval_expr(a, rt)?),
+                            None => None,
+                        };
+                        let grown = acc.update(rt, v.as_ref())?;
+                        meter.charge(grown);
                         scratch += grown;
                     }
+                    meter.step(self)?;
                 }
+                meter.finish(self)?;
                 let finished: FxHashMap<Value, Value> = groups
                     .into_iter()
                     .map(|(k, acc)| Ok((k, acc.finish()?)))
                     .collect::<Result<_>>()?;
                 let empty = create_accumulator(agg).finish()?;
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::with_capacity(range.len());
                     for lt in &l.rows()[range] {
-                        ctx.tick()?;
                         let k = ctx.eval_expr(left_key, lt)?;
                         let g = if k.is_null() {
                             empty.clone()
@@ -1690,8 +1706,9 @@ impl ExecContext {
                             finished.get(&k).cloned().unwrap_or_else(|| empty.clone())
                         };
                         let row = lt.extended(g);
-                        ctx.charge(tuple_bytes(&row))?;
+                        meter.charge(tuple_bytes(&row));
                         out.push(row);
+                        meter.step(ctx)?;
                     }
                     Ok(out)
                 })?;
@@ -1710,37 +1727,38 @@ impl ExecContext {
                 let r = self.eval_node(right, local)?;
                 let mut right_kv: Vec<(Value, &Tuple)> = Vec::with_capacity(r.len());
                 let mut scratch = 0u64; // key decoration, released below
+                let mut meter = Meter::default();
                 for rt in r.rows() {
-                    self.tick()?;
                     let k = self.eval_expr(right_key, rt)?;
                     let bytes = VALUE_BYTES + bypass_types::value_heap_bytes(&k);
-                    self.charge(bytes)?;
+                    meter.charge(bytes);
                     scratch += bytes;
                     right_kv.push((k, rt));
+                    meter.step(self)?;
                 }
-                let parts = self.run_morsels(node, l.len(), |ctx, range| {
+                meter.finish(self)?;
+                let pairs = right_kv.len() as u64;
+                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
                     let mut out = Vec::with_capacity(range.len());
                     for lt in &l.rows()[range] {
                         let lk = ctx.eval_expr(left_key, lt)?;
                         let mut acc = create_accumulator(agg);
                         let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
                         for (rk, rt) in &right_kv {
-                            ctx.tick()?;
                             if value_truth(&eval_binop(*cmp, &lk, rk)?).is_true() {
                                 let v = match &agg.arg {
                                     Some(a) => Some(ctx.eval_expr(a, rt)?),
                                     None => None,
                                 };
                                 let grown = acc.update(rt, v.as_ref())?;
-                                if grown != 0 {
-                                    ctx.charge(grown)?;
-                                    acc_bytes += grown;
-                                }
+                                meter.charge(grown);
+                                acc_bytes += grown;
                             }
+                            meter.step(ctx)?;
                         }
                         let row = lt.extended(acc.finish()?);
-                        ctx.release(acc_bytes);
-                        ctx.charge(tuple_bytes(&row))?;
+                        meter.release(acc_bytes);
+                        meter.charge(tuple_bytes(&row));
                         out.push(row);
                     }
                     Ok(out)
@@ -1751,14 +1769,14 @@ impl ExecContext {
             PhysKind::Map { input, expr } => {
                 let input = self.eval_node(input, local)?;
                 let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::with_capacity(range.len());
                     for t in &rows[range] {
-                        ctx.tick()?;
                         let v = ctx.eval_expr(expr, t)?;
                         let row = t.extended(v);
-                        ctx.charge(tuple_bytes(&row))?;
+                        meter.charge(tuple_bytes(&row));
                         out.push(row);
+                        meter.step(ctx)?;
                     }
                     Ok(out)
                 })?;
@@ -1767,15 +1785,15 @@ impl ExecContext {
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
                 let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), |ctx, range| {
+                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
                     let mut out = Vec::with_capacity(range.len());
                     // The global row index is position-derived, so each
                     // morsel numbers its slice independently.
                     for (i, t) in range.clone().zip(&rows[range]) {
-                        ctx.tick()?;
                         let row = t.extended(Value::Int(i as i64));
-                        ctx.charge(tuple_bytes(&row))?;
+                        meter.charge(tuple_bytes(&row));
                         out.push(row);
+                        meter.step(ctx)?;
                     }
                     Ok(out)
                 })?;
@@ -1793,18 +1811,19 @@ impl ExecContext {
                 // Evaluate sort keys once per row, then argsort.
                 let mut decorated: Vec<(Tuple, Tuple)> = Vec::with_capacity(input.len());
                 let mut scratch = 0u64; // sort-key decoration, released below
+                let mut meter = Meter::default();
                 for t in input.rows() {
-                    self.tick()?;
                     let mut kv = Vec::with_capacity(keys.len());
                     for (e, _) in keys {
                         kv.push(self.eval_expr(e, t)?);
                     }
                     let key = Tuple::new(kv);
-                    let bytes = tuple_bytes(&key) + SHARED_ROW_BYTES;
-                    self.charge(bytes)?;
+                    meter.charge(tuple_bytes(&key) + SHARED_ROW_BYTES);
                     scratch += tuple_bytes(&key); // keys die after the argsort
                     decorated.push((key, t.clone()));
+                    meter.step(self)?;
                 }
+                meter.finish(self)?;
                 let spec: Vec<SortKey> = keys
                     .iter()
                     .enumerate()
@@ -1905,42 +1924,13 @@ impl ExecContext {
         Ok(match &source.kind {
             PhysKind::BypassFilter { input, predicate } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                if let Some(chain) = self.chain_for(source, predicate, input.schema().arity()) {
-                    // Vectorized dual-stream split: two selection
-                    // vectors over one shared batch, gathered into
-                    // pos/neg in input order.
-                    let (pos, neg) = self.run_chain(source, &input, &chain, true)?;
-                    (
-                        Arc::new(Relation::new(schema.clone(), pos)),
-                        Arc::new(Relation::new(schema, neg)),
-                    )
-                } else {
-                    // Each morsel splits into its own pos/neg buffers;
-                    // concatenating them in morsel order reproduces the
-                    // serial stream order exactly.
-                    let parts = self.run_morsels(source, rows.len(), |ctx, range| {
-                        let mut pos = Vec::new();
-                        let mut neg = Vec::new();
-                        for t in &rows[range] {
-                            ctx.tick()?;
-                            // Stream split by refcount bump: the row buffer is
-                            // shared with the input relation, never copied.
-                            ctx.charge(SHARED_ROW_BYTES)?;
-                            if ctx.eval_truth(predicate, t)?.is_true() {
-                                pos.push(t.clone());
-                            } else {
-                                neg.push(t.clone());
-                            }
-                        }
-                        Ok((pos, neg))
-                    })?;
-                    let (pos, neg) = concat_dual(parts);
-                    (
-                        Arc::new(Relation::new(schema.clone(), pos)),
-                        Arc::new(Relation::new(schema, neg)),
-                    )
-                }
+                // Dual-stream split: each block's selection decides
+                // pos/neg, gathered in input order.
+                let (pos, neg) = self.run_chain(source, &input, predicate, true)?;
+                (
+                    Arc::new(Relation::new(schema.clone(), pos)),
+                    Arc::new(Relation::new(schema, neg)),
+                )
             }
             PhysKind::BypassNLJoin {
                 left,
@@ -1950,31 +1940,29 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let parts = self.run_morsels(source, l.len(), |ctx, range| {
+                let pairs = r.len() as u64;
+                let parts = self.run_morsels(source, l.len(), pairs, |ctx, range, meter| {
                     let mut pos = Vec::new();
                     let mut neg = Vec::new();
                     for lt in &l.rows()[range] {
                         ctx.check_size(pos.len().max(neg.len()))?;
                         for rt in r.rows() {
-                            ctx.tick()?;
                             let joined = lt.concat(rt);
-                            if ctx.eval_truth(predicate, &joined)?.is_true() {
-                                ctx.charge(tuple_bytes(&joined))?;
-                                pos.push(joined);
-                            } else {
-                                match neg_filter {
-                                    None => {
-                                        ctx.charge(tuple_bytes(&joined))?;
-                                        neg.push(joined);
-                                    }
-                                    Some(f) => {
-                                        if ctx.eval_truth(f, &joined)?.is_true() {
-                                            ctx.charge(tuple_bytes(&joined))?;
-                                            neg.push(joined);
-                                        }
-                                    }
+                            let positive = ctx.eval_truth(predicate, &joined)?.is_true();
+                            let keep = positive
+                                || match neg_filter {
+                                    None => true,
+                                    Some(f) => ctx.eval_truth(f, &joined)?.is_true(),
+                                };
+                            if keep {
+                                meter.charge(tuple_bytes(&joined));
+                                if positive {
+                                    pos.push(joined);
+                                } else {
+                                    neg.push(joined);
                                 }
                             }
+                            meter.step(ctx)?;
                         }
                     }
                     Ok((pos, neg))
@@ -2000,6 +1988,10 @@ impl ExecContext {
         })
     }
 
+    /// Hash aggregation over flat group arenas (see [`Groups`]). Group
+    /// arenas, accumulator state and DISTINCT growth are charged per
+    /// input block and released when the arm ends; output rows are
+    /// charged per block of groups.
     fn hash_aggregate(
         &mut self,
         node: &Arc<PhysNode>,
@@ -2008,212 +2000,133 @@ impl ExecContext {
         aggs: &[AggSpec],
         schema: bypass_types::Schema,
     ) -> Result<Relation> {
-        if self.morsel_gate(node, input.len()) {
-            return self.hash_aggregate_parallel(node, input, keys, aggs, schema);
-        }
+        let rows = input.rows();
+        let mut groups = Groups::new(keys.len(), aggs);
+        let mut meter = Meter::default();
         if keys.is_empty() {
             // Scalar aggregation: exactly one output row, even for empty
             // input (f(∅)).
-            let mut accs: Vec<Accumulator> = aggs.iter().map(create_accumulator).collect();
-            for t in input.rows() {
-                self.tick()?;
-                for (acc, spec) in accs.iter_mut().zip(aggs) {
-                    let v = match &spec.arg {
-                        Some(a) => Some(self.eval_expr(a, t)?),
-                        None => None,
-                    };
-                    acc.update(t, v.as_ref())?;
-                }
-            }
-            let vals = accs
-                .into_iter()
-                .map(|a| a.finish())
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(Relation::new(schema, vec![Tuple::new(vals)]));
+            groups.group(&mut Vec::new(), fxhash::hash_values(&[]), &mut meter);
         }
-        // Grouped aggregation. Groups live in flat arenas in first-
-        // appearance order (the deterministic output order): group `g`'s
-        // key occupies `key_arena[g*width..]` and its accumulators
-        // `accs[g*naggs..]`, so a new group costs zero per-group heap
-        // allocations (amortized arena growth only). The hash side maps
-        // the *precomputed* key hash to an intrusive chain of group
-        // indices; the key is evaluated into a reused scratch buffer and
-        // moved — not cloned — into the arena exactly once, when the
-        // group first appears.
-        let width = keys.len();
-        let naggs = aggs.len();
-        let mut key_arena: Vec<Value> = Vec::new();
-        let mut accs: Vec<Accumulator> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new(); // group → next group with equal hash
-        let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut keybuf: Vec<Value> = Vec::with_capacity(width);
-        for t in input.rows() {
-            self.tick()?;
+        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+        let pure = !keys.iter().chain(args).any(PhysExpr::contains_subquery);
+        if pure && self.morsel_gate(node, rows.len()) {
+            self.aggregate_parallel(node, rows, keys, &mut groups, &mut meter)?;
+        } else {
+            let mut keybuf = Vec::with_capacity(keys.len());
+            for t in rows {
+                self.aggregate_row(keys, &mut groups, &mut keybuf, &mut meter, t)?;
+            }
+        }
+        meter.finish(self)?;
+        let scratch = groups.charged;
+        let out = groups.finish(self)?;
+        self.release(scratch);
+        Ok(Relation::new(schema, out))
+    }
+
+    /// Group one input row: evaluate its key into the reused `keybuf`
+    /// (no per-row allocation), find or create its group — a scalar
+    /// aggregate's one group is created up front — fold every
+    /// aggregate argument, and finish the row's unit. Always inlined:
+    /// it is the per-row loop body of the hottest operator.
+    #[inline(always)]
+    fn aggregate_row(
+        &mut self,
+        keys: &[PhysExpr],
+        groups: &mut Groups,
+        keybuf: &mut Vec<Value>,
+        meter: &mut Meter,
+        t: &Tuple,
+    ) -> Result<()> {
+        let g = if keys.is_empty() {
+            0
+        } else {
             keybuf.clear();
             for k in keys {
                 let v = self.eval_expr(k, t)?;
                 keybuf.push(v);
             }
-            let hash = fxhash::hash_values(&keybuf);
-            let mut found = None;
-            let mut cur = heads.get(&hash).copied();
-            while let Some(g) = cur {
-                let s = g as usize * width;
-                if key_arena[s..s + width] == keybuf[..] {
-                    found = Some(g as usize);
-                    break;
-                }
-                let nxt = chain[g as usize];
-                cur = (nxt != u32::MAX).then_some(nxt);
-            }
-            let gi = match found {
-                Some(g) => g,
-                None => {
-                    let g = chain.len();
-                    // Prepend to the hash chain (group order is kept by
-                    // the arenas, not the chains).
-                    let prev = heads.insert(hash, g as u32);
-                    chain.push(prev.unwrap_or(u32::MAX));
-                    key_arena.append(&mut keybuf);
-                    accs.extend(aggs.iter().map(create_accumulator));
-                    g
-                }
+            let hash = fxhash::hash_values(keybuf);
+            groups.group(keybuf, hash, meter)
+        };
+        let aggs = groups.aggs;
+        for (j, spec) in aggs.iter().enumerate() {
+            let v = match &spec.arg {
+                Some(a) => Some(self.eval_expr(a, t)?),
+                None => None,
             };
-            for (j, spec) in aggs.iter().enumerate() {
-                let v = match &spec.arg {
-                    Some(a) => Some(self.eval_expr(a, t)?),
-                    None => None,
-                };
-                accs[gi * naggs + j].update(t, v.as_ref())?;
-            }
+            groups.update(g, j, t, v.as_ref(), meter)?;
         }
-        let ngroups = chain.len();
-        let mut out = Vec::with_capacity(ngroups);
-        let mut key_iter = key_arena.into_iter();
-        let mut acc_iter = accs.into_iter();
-        for _ in 0..ngroups {
-            let mut vals: Vec<Value> = Vec::with_capacity(width + naggs);
-            vals.extend(key_iter.by_ref().take(width));
-            for _ in 0..naggs {
-                // invariant: `accs` holds exactly `ngroups * naggs`
-                // accumulators — one batch of `naggs` is pushed in the
-                // same statement that grows `chain` by one group, so
-                // this iterator cannot run dry. (The fault oracle
-                // never reached this expect; kept as an invariant.)
-                let a = acc_iter.next().expect("arena length mismatch");
-                vals.push(a.finish()?);
-            }
-            out.push(Tuple::new(vals));
-        }
-        Ok(Relation::new(schema, out))
+        meter.step(self)
     }
 
-    /// Parallel two-phase aggregation (callers have already passed the
-    /// morsel gate): phase 1 fans the per-row expression work — group
-    /// keys, key hash, aggregate arguments — across the worker pool in
-    /// morsel order; phase 2 runs the order-sensitive grouping serially
-    /// on the master over the precomputed entries. Phase 2 performs no
-    /// expression evaluation and no governor operations (the serial
-    /// aggregate never charges bytes), so the complete governor
-    /// sequence is produced by phase 1's in-order replay — identical
-    /// to a serial run, as are first-appearance group order and
-    /// accumulator update order.
-    fn hash_aggregate_parallel(
+    /// Parallel aggregation, for subquery-free keys and arguments only
+    /// (callers have passed the morsel gate): phase 1 fans the per-row
+    /// expression work — group key, key hash, aggregate arguments —
+    /// across the worker pool, with no governor effects at all; phase 2
+    /// groups the precomputed entries on the master in row order, with
+    /// exactly the serial path's charges and checkpoints. A morsel stops
+    /// at its first value error; phase 2 groups the rows from there on
+    /// serially, so the error surfaces after the same checkpoints as in
+    /// a serial run.
+    fn aggregate_parallel(
         &mut self,
         node: &Arc<PhysNode>,
-        input: &Relation,
+        rows: &[Tuple],
+        keys: &[PhysExpr],
+        groups: &mut Groups,
+        meter: &mut Meter,
+    ) -> Result<()> {
+        let aggs = groups.aggs;
+        let parts = self.run_morsels(node, rows.len(), 0, |ctx, range, _| {
+            let mut entries: Vec<AggEntry> = Vec::with_capacity(range.len());
+            for t in &rows[range.clone()] {
+                let Ok(entry) = ctx.aggregate_entry(keys, aggs, t) else {
+                    break;
+                };
+                entries.push(entry);
+            }
+            Ok((range, entries))
+        })?;
+        let mut keybuf = Vec::with_capacity(keys.len());
+        for (range, entries) in parts {
+            let done = range.start + entries.len();
+            for ((mut key, hash, args), t) in entries.into_iter().zip(&rows[range.start..done]) {
+                let g = groups.group(&mut key, hash, meter);
+                for (j, v) in args.iter().enumerate() {
+                    groups.update(g, j, t, v.as_ref(), meter)?;
+                }
+                meter.step(self)?;
+            }
+            for t in &rows[done..range.end] {
+                self.aggregate_row(keys, groups, &mut keybuf, meter, t)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase 1 of the parallel aggregate for one row: key, key hash and
+    /// aggregate arguments.
+    fn aggregate_entry(
+        &mut self,
         keys: &[PhysExpr],
         aggs: &[AggSpec],
-        schema: bypass_types::Schema,
-    ) -> Result<Relation> {
-        let rows = input.rows();
-        let parts = self.run_morsels(node, rows.len(), |ctx, range| {
-            let mut entries = Vec::with_capacity(range.len());
-            for t in &rows[range] {
-                ctx.tick()?;
-                let mut kv = Vec::with_capacity(keys.len());
-                for k in keys {
-                    kv.push(ctx.eval_expr(k, t)?);
-                }
-                let hash = fxhash::hash_values(&kv);
-                let mut args = Vec::with_capacity(aggs.len());
-                for spec in aggs {
-                    args.push(match &spec.arg {
-                        Some(a) => Some(ctx.eval_expr(a, t)?),
-                        None => None,
-                    });
-                }
-                entries.push((kv, hash, args));
-            }
-            Ok(entries)
-        })?;
-        let mut rows_it = rows.iter();
-        if keys.is_empty() {
-            // Scalar aggregation over the precomputed arguments, in row
-            // order.
-            let mut accs: Vec<Accumulator> = aggs.iter().map(create_accumulator).collect();
-            for (_, _, args) in parts.into_iter().flatten() {
-                let t = rows_it.next().expect("one entry per input row");
-                for (acc, v) in accs.iter_mut().zip(&args) {
-                    acc.update(t, v.as_ref())?;
-                }
-            }
-            let vals = accs
-                .into_iter()
-                .map(|a| a.finish())
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(Relation::new(schema, vec![Tuple::new(vals)]));
+        t: &Tuple,
+    ) -> Result<AggEntry> {
+        let mut key = Vec::with_capacity(keys.len());
+        for k in keys {
+            key.push(self.eval_expr(k, t)?);
         }
-        // Grouped: identical arena layout and first-appearance order as
-        // the serial path (see `hash_aggregate`).
-        let width = keys.len();
-        let naggs = aggs.len();
-        let mut key_arena: Vec<Value> = Vec::new();
-        let mut accs: Vec<Accumulator> = Vec::new();
-        let mut chain: Vec<u32> = Vec::new();
-        let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
-        for (mut kv, hash, args) in parts.into_iter().flatten() {
-            let t = rows_it.next().expect("one entry per input row");
-            let mut found = None;
-            let mut cur = heads.get(&hash).copied();
-            while let Some(g) = cur {
-                let s = g as usize * width;
-                if key_arena[s..s + width] == kv[..] {
-                    found = Some(g as usize);
-                    break;
-                }
-                let nxt = chain[g as usize];
-                cur = (nxt != u32::MAX).then_some(nxt);
-            }
-            let gi = match found {
-                Some(g) => g,
-                None => {
-                    let g = chain.len();
-                    let prev = heads.insert(hash, g as u32);
-                    chain.push(prev.unwrap_or(u32::MAX));
-                    key_arena.append(&mut kv);
-                    accs.extend(aggs.iter().map(create_accumulator));
-                    g
-                }
-            };
-            for (j, v) in args.into_iter().enumerate() {
-                accs[gi * naggs + j].update(t, v.as_ref())?;
-            }
+        let hash = fxhash::hash_values(&key);
+        let mut args = Vec::with_capacity(aggs.len());
+        for spec in aggs {
+            args.push(match &spec.arg {
+                Some(a) => Some(self.eval_expr(a, t)?),
+                None => None,
+            });
         }
-        let ngroups = chain.len();
-        let mut out = Vec::with_capacity(ngroups);
-        let mut key_iter = key_arena.into_iter();
-        let mut acc_iter = accs.into_iter();
-        for _ in 0..ngroups {
-            let mut vals: Vec<Value> = Vec::with_capacity(width + naggs);
-            vals.extend(key_iter.by_ref().take(width));
-            for _ in 0..naggs {
-                let a = acc_iter.next().expect("arena length mismatch");
-                vals.push(a.finish()?);
-            }
-            out.push(Tuple::new(vals));
-        }
-        Ok(Relation::new(schema, out))
+        Ok((key, hash, args))
     }
 
     /// Single-pass build of the join hash table: per build row, evaluate
@@ -2229,23 +2142,24 @@ impl ExecContext {
             charged: 0,
         };
         let mut keybuf: Vec<Value> = Vec::with_capacity(keys.len());
+        let mut meter = Meter::default();
         for (i, t) in rel.rows().iter().enumerate() {
-            self.tick()?;
-            let Some(hash) = self.eval_key_into(keys, t, &mut keybuf)? else {
-                continue;
-            };
-            // Charge the key arena growth: inline slots + text heap +
-            // per-entry chain overhead. The join arm releases
-            // `table.charged` when the table dies.
-            let mut bytes = JOIN_ENTRY_BYTES + keybuf.len() as u64 * VALUE_BYTES;
-            for v in &keybuf {
-                bytes += bypass_types::value_heap_bytes(v);
+            if let Some(hash) = self.eval_key_into(keys, t, &mut keybuf)? {
+                // Charge the key arena growth: inline slots + text heap +
+                // per-entry chain overhead. The join arm releases
+                // `table.charged` when the table dies.
+                let mut bytes = HASH_ENTRY_BYTES + keybuf.len() as u64 * VALUE_BYTES;
+                for v in &keybuf {
+                    bytes += bypass_types::value_heap_bytes(v);
+                }
+                meter.charge(bytes);
+                table.charged += bytes;
+                table.keys.append(&mut keybuf);
+                table.insert(hash, i as u32);
             }
-            self.charge(bytes)?;
-            table.charged += bytes;
-            table.keys.append(&mut keybuf);
-            table.insert(hash, i as u32);
+            meter.step(self)?;
         }
+        meter.finish(self)?;
         Ok(table)
     }
 
@@ -3506,6 +3420,122 @@ mod tests {
             },
         )
         .unwrap();
+    }
+
+    #[test]
+    fn chained_filter_checkpoints_once_per_block() {
+        // σ and σ± over n rows pass exactly ⌈n/256⌉ checkpoints, whether
+        // the predicate vectorizes or not, serially and when 3-row
+        // morsels end inside blocks; the bytes charged are identical.
+        let gt = |c: usize, v: i64| PhysExpr::Binary {
+            op: BinOp::Gt,
+            left: Box::new(PhysExpr::Column(c)),
+            right: Box::new(PhysExpr::Literal(Value::Int(v))),
+        };
+        let div = PhysExpr::Binary {
+            op: BinOp::Gt,
+            left: Box::new(PhysExpr::Binary {
+                op: BinOp::Div,
+                left: Box::new(PhysExpr::Literal(Value::Int(1000))),
+                right: Box::new(PhysExpr::Column(0)),
+            }),
+            right: Box::new(PhysExpr::Literal(Value::Int(3))),
+        };
+        let disjunction = PhysExpr::Binary {
+            op: BinOp::Or,
+            left: Box::new(gt(0, 900)),
+            right: Box::new(gt(1, 5)),
+        };
+        for n in [0usize, 1, 255, 256, 257, 1000] {
+            let rows: Vec<Vec<i64>> = (1..=n as i64).map(|i| vec![i, i % 11]).collect();
+            let slices: Vec<&[i64]> = rows.iter().map(|v| v.as_slice()).collect();
+            let scan = int_rel("r", &["a", "b"], &slices);
+            for predicate in [gt(0, 100), div.clone(), disjunction.clone()] {
+                let filter = PhysNode::new(
+                    PhysKind::Filter {
+                        input: scan.clone(),
+                        predicate: predicate.clone(),
+                    },
+                    scan.schema.clone(),
+                );
+                let bypass = PhysNode::new(
+                    PhysKind::BypassFilter {
+                        input: scan.clone(),
+                        predicate,
+                    },
+                    scan.schema.clone(),
+                );
+                let stream = PhysNode::new(
+                    PhysKind::Stream {
+                        source: bypass,
+                        positive: false,
+                    },
+                    scan.schema.clone(),
+                );
+                for plan in [filter, stream] {
+                    let counters = |threads, morsel_rows| {
+                        let mut ctx = ExecContext::new(ExecOptions {
+                            threads,
+                            morsel_rows,
+                            ..Default::default()
+                        });
+                        ctx.eval_plan(&plan).unwrap();
+                        ctx.counters()
+                    };
+                    let serial = counters(1, MORSEL_ROWS);
+                    assert_eq!(serial.checkpoints, n.div_ceil(BLOCK_ROWS) as u64, "n={n}");
+                    assert_eq!(counters(4, 3), serial, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_aggregate_fails_at_the_serial_checkpoint() {
+        // SUM(1000 / (b - 400)) divides by zero at row 400, in the
+        // second block. Phase 1 stops its morsel there; phase 2 must
+        // group rows 0..400 — passing block 0's checkpoint with its
+        // group charges — before raising the same error.
+        let rows: Vec<Vec<i64>> = (0..600).map(|i| vec![i % 7, i]).collect();
+        let slices: Vec<&[i64]> = rows.iter().map(|v| v.as_slice()).collect();
+        let scan = int_rel("r", &["a", "b"], &slices);
+        let arg = PhysExpr::Binary {
+            op: BinOp::Div,
+            left: Box::new(PhysExpr::Literal(Value::Int(1000))),
+            right: Box::new(PhysExpr::Binary {
+                op: BinOp::Sub,
+                left: Box::new(PhysExpr::Column(1)),
+                right: Box::new(PhysExpr::Literal(Value::Int(400))),
+            }),
+        };
+        let agg = PhysNode::new(
+            PhysKind::HashAggregate {
+                input: scan,
+                keys: vec![PhysExpr::Column(0)],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Sum,
+                    distinct: false,
+                    arg: Some(arg),
+                }],
+            },
+            Schema::new(vec![
+                Field::new("a", DataType::Int),
+                Field::new("s", DataType::Int),
+            ]),
+        );
+        let run = |threads, morsel_rows| {
+            let mut ctx = ExecContext::new(ExecOptions {
+                threads,
+                morsel_rows,
+                ..Default::default()
+            });
+            let err = ctx.eval_plan(&agg).unwrap_err();
+            (err.to_string(), ctx.counters())
+        };
+        let serial = run(1, MORSEL_ROWS);
+        assert_eq!(serial.1.checkpoints, 1, "{serial:?}");
+        assert!(serial.1.peak_memory_bytes > 0);
+        assert_eq!(run(4, 3), serial);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    independent (the PR 6 governor-replay discipline applied to
 //!    telemetry). Wall-clock-derived series carry a `timing` flag;
 //!    [`Snapshot::deterministic`] strips them, and what remains is
-//!    bit-identical across thread counts, batch sizes and reruns —
+//!    bit-identical across thread counts, morsel sizes and reruns —
 //!    which is what `BENCH_baseline.json` gates.
 //! 2. [`MetricsHub`] — the registry plus per-fingerprint stores: a
 //!    bounded query-stats table, a top-K [`SlowQuery`] ring, and the

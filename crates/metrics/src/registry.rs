@@ -303,7 +303,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The timing-free subset: every entry left is count-derived and
-    /// therefore identical across worker counts, batch sizes and
+    /// therefore identical across worker counts, morsel sizes and
     /// repeated runs of the same workload.
     pub fn deterministic(&self) -> Snapshot {
         Snapshot {

@@ -133,15 +133,11 @@ impl InjectedFault {
 ///
 /// Workers run their morsel against a forked governor that starts at
 /// zero bytes; the log is the worker's complete effect sequence.
-/// Consecutive ticks are run-length encoded (`Ticks(n)`) because
-/// per-row progress dominates the stream by orders of magnitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GovEvent {
-    /// `n` consecutive plain checkpoints (no byte movement).
-    Ticks(u64),
-    /// A materialization charge of this many bytes (itself one
-    /// checkpoint, exactly like a serial `charge`).
-    Charge(u64),
+    /// One checkpoint applying this net byte delta (a block's summed
+    /// charges minus the scratch it freed, or a one-shot charge).
+    Checkpoint(i64),
     /// A release of operator-local scratch (not a checkpoint).
     Release(u64),
 }

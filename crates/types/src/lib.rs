@@ -30,7 +30,7 @@ mod stats;
 mod tuple;
 mod value;
 
-pub use batch::{batch_rows_or, Batch, BATCH_ENV, BATCH_ROWS};
+pub use batch::{Batch, BLOCK_ROWS};
 pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
 pub use fxhash::{hash_one, hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Prehashed};

@@ -7,7 +7,9 @@
 use std::time::Duration;
 
 use bypass::datagen::rst;
-use bypass::{CancelToken, Database, Error, ResourceKind, RunLimits, Strategy};
+use bypass::{
+    CancelToken, Database, Error, FaultKind, InjectedFault, ResourceKind, RunLimits, Strategy,
+};
 
 /// The paper's Q1 (disjunctive linking).
 const Q1: &str = "SELECT DISTINCT * FROM r \
@@ -172,4 +174,130 @@ fn governor_counters_are_deterministic_across_the_strategy_matrix() {
             assert_eq!(again, first, "{strategy}: counters drifted between runs");
         }
     }
+}
+
+/// Q2 — disjunctive correlation; its unnested plan groups `s` by `b2`
+/// in a hash aggregate.
+const Q2: &str = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
+
+/// Four workers with 3-row morsels: every morsel ends inside a
+/// 256-row block, so every block checkpoint carries bytes across
+/// morsels.
+fn carried_limits() -> RunLimits {
+    RunLimits {
+        threads: Some(4),
+        morsel_rows: Some(3),
+        ..RunLimits::default()
+    }
+}
+
+/// A budget at the measured peak passes and one byte under it trips
+/// with the typed Memory error, under `base`'s execution shape.
+fn assert_budget_is_exact_at_peak(db: &Database, sql: &str, base: &RunLimits) {
+    let (_, counters) = db.run_governed(sql, Strategy::Unnested, base).unwrap();
+    let peak = counters.peak_memory_bytes;
+    let budget = |bytes| RunLimits {
+        max_memory_bytes: Some(bytes),
+        ..base.clone()
+    };
+    let (_, at_peak) = db
+        .run_governed(sql, Strategy::Unnested, &budget(peak))
+        .unwrap();
+    assert_eq!(at_peak, counters, "a budget at the peak changes nothing");
+    let err = db
+        .run_governed(sql, Strategy::Unnested, &budget(peak - 1))
+        .expect_err("budget one byte under the peak must trip");
+    assert!(
+        matches!(
+            err,
+            Error::ResourceExhausted {
+                resource: ResourceKind::Memory,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+/// The hash aggregate charges its group arena, accumulator state,
+/// DISTINCT growth and output rows: `COUNT(DISTINCT a1)` over 10 000
+/// rows keeps every distinct value and cannot fit in 1 KiB. On a
+/// grouped unnested plan the budget is exact at the peak, serially and
+/// with carried blocks.
+#[test]
+fn hash_aggregate_state_is_charged_to_the_budget() {
+    let mut db = Database::new();
+    rst::register(db.catalog_mut(), &rst::generate(1.0, 1.0, 42)).unwrap();
+    let sql = "SELECT COUNT(DISTINCT a1) FROM r";
+    let (_, counters) = db
+        .run_governed(sql, Strategy::Unnested, &RunLimits::default())
+        .unwrap();
+    assert!(
+        counters.peak_memory_bytes > 1024,
+        "DISTINCT state uncharged: {counters:?}"
+    );
+    let err = db
+        .run_governed(
+            sql,
+            Strategy::Unnested,
+            &RunLimits {
+                max_memory_bytes: Some(1024),
+                ..RunLimits::default()
+            },
+        )
+        .expect_err("a 1 KiB budget must trip on 10 000 distinct-value states");
+    assert!(
+        matches!(
+            err,
+            Error::ResourceExhausted {
+                resource: ResourceKind::Memory,
+                ..
+            }
+        ),
+        "{err}"
+    );
+
+    let db = q1_database(Strategy::Unnested);
+    assert_budget_is_exact_at_peak(&db, Q2, &RunLimits::default());
+    assert_budget_is_exact_at_peak(&db, Q2, &carried_limits());
+}
+
+/// Every fault kind injected at every checkpoint of a small multi-block
+/// plan (500-row tables: two blocks per scan-sized operator) renders
+/// the identical error serially and at 4 workers × 3-row morsels, and
+/// the parallel run's memory budget is exact at its peak.
+#[test]
+fn every_fault_renders_identically_with_carried_blocks() {
+    let db = q1_database(Strategy::Unnested);
+    let serial = RunLimits {
+        threads: Some(1),
+        ..RunLimits::default()
+    };
+    let (_, counters) = db.run_governed(Q1, Strategy::Unnested, &serial).unwrap();
+    let (_, par_counters) = db
+        .run_governed(Q1, Strategy::Unnested, &carried_limits())
+        .unwrap();
+    assert_eq!(par_counters, counters);
+    assert!(counters.checkpoints > 2, "{counters:?}");
+    for k in 1..=counters.checkpoints {
+        for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
+            let fault = Some(InjectedFault::new(k, kind));
+            let render = |base: &RunLimits| {
+                let limits = RunLimits {
+                    fault,
+                    ..base.clone()
+                };
+                db.run_governed(Q1, Strategy::Unnested, &limits)
+                    .expect_err("an injected fault must fire")
+                    .to_string()
+            };
+            assert_eq!(
+                render(&carried_limits()),
+                render(&serial),
+                "{kind:?} at checkpoint {k}"
+            );
+        }
+    }
+    assert_budget_is_exact_at_peak(&db, Q1, &carried_limits());
 }

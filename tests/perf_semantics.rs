@@ -15,21 +15,15 @@
 //!    worker count. This is the determinism contract of
 //!    `bypass_types::par`: results return in input order and the lowest
 //!    failing index wins.
-//! 3. **Worker-count independence of morsel-driven execution** — one
-//!    query executed at 1, 2 and 8 intra-query workers must produce the
+//! 3. **Worker-count and morsel-size independence of morsel-driven
+//!    execution** — one query executed at 1, 2 and 8 intra-query workers
+//!    and at morsel sizes 2, 3 and the default must produce the
 //!    identical row sequence, `ExecCounters`, `QueryProfile` counters
 //!    and (timing-stripped) EXPLAIN ANALYZE report. This is the
 //!    determinism contract of the morsel executor (DESIGN.md §7):
-//!    in-order merge, per-worker governor record/replay, and
+//!    in-order merge, per-worker governor record/replay with block
+//!    carries (3-row morsels end inside 256-row blocks), and
 //!    worker-count-independent metric totals.
-//! 4. **Batch-size independence of the vectorized executor** — the same
-//!    queries executed at batch sizes 0 (legacy row path), 1, 2 and 64,
-//!    serial and at 8 workers, must produce the identical row sequence,
-//!    `ExecCounters`, `QueryProfile` counters and (timing-stripped)
-//!    EXPLAIN ANALYZE report. This is the determinism contract of the
-//!    vectorized hot path (DESIGN.md §8): `batch_rows` selects a
-//!    mechanism, never semantics, and the adaptive disjunct ordering is
-//!    identical in both modes.
 
 use bypass::datagen::rst;
 use bypass::{Database, RunLimits};
@@ -102,7 +96,7 @@ fn parallel_oracle_default_thread_count_is_equivalent() {
 }
 
 // ---------------------------------------------------------------------------
-// Angle 3: worker-count independence of morsel-driven execution.
+// Angle 3: worker-count and morsel-size independence of morsel execution.
 // ---------------------------------------------------------------------------
 
 /// The paper's Q1 (disjunctive linking) — exercises the bypass chain
@@ -125,14 +119,23 @@ fn morsel_database() -> Database {
     db
 }
 
-/// `RunLimits` that pin the intra-query worker count and force morsel
-/// fan-out (`morsel_rows = 2` splits even tiny inputs).
-fn worker_limits(threads: usize) -> RunLimits {
+/// `RunLimits` that pin the intra-query worker count and the morsel
+/// size (`Some(2)` splits even tiny inputs; 3 does not divide the
+/// 256-row block, so morsels end inside blocks; `None` keeps the
+/// default).
+fn worker_limits(threads: usize, morsel_rows: Option<usize>) -> RunLimits {
     RunLimits {
         threads: Some(threads),
-        morsel_rows: Some(2),
+        morsel_rows,
         ..RunLimits::default()
     }
+}
+
+/// Every parallel execution shape compared against the serial run.
+fn parallel_shapes() -> impl Iterator<Item = (usize, Option<usize>)> {
+    [2, 8]
+        .into_iter()
+        .flat_map(|threads| [Some(2), Some(3), None].map(move |m| (threads, m)))
 }
 
 /// Replace every `<digits>.<digits>ms` timing token with `_ms` so
@@ -167,178 +170,48 @@ fn strip_timings(report: &str) -> String {
 }
 
 /// The exact row sequence and the full `ExecCounters` snapshot are
-/// independent of the worker count, for every strategy: morsels merge
-/// in input order and per-worker counters fold into totals that do not
-/// depend on how the input was partitioned.
+/// independent of the worker count and morsel size, for every strategy:
+/// morsels merge in input order, block carries keep checkpoints and
+/// bytes on the serial blocks, and per-worker counters fold into totals
+/// that do not depend on how the input was partitioned.
 #[test]
 fn executor_rows_and_counters_are_worker_count_independent() {
     let db = morsel_database();
     for strategy in Strategy::all() {
         for sql in [Q1, Q1_ORDERED] {
-            let (ref_rows, ref_counters) =
-                db.run_governed(sql, strategy, &worker_limits(1)).unwrap();
-            for threads in [2, 8] {
+            let (ref_rows, ref_counters) = db
+                .run_governed(sql, strategy, &worker_limits(1, None))
+                .unwrap();
+            for (threads, morsel) in parallel_shapes() {
                 let (rows, counters) = db
-                    .run_governed(sql, strategy, &worker_limits(threads))
+                    .run_governed(sql, strategy, &worker_limits(threads, morsel))
                     .unwrap();
                 assert_eq!(
                     rows.rows(),
                     ref_rows.rows(),
-                    "row sequence must not depend on the worker count \
-                     ({strategy}, threads={threads})"
+                    "row sequence must not depend on the execution shape \
+                     ({strategy}, threads={threads}, morsel={morsel:?})"
                 );
                 assert_eq!(
                     counters, ref_counters,
-                    "ExecCounters must not depend on the worker count \
-                     ({strategy}, threads={threads})"
+                    "ExecCounters must not depend on the execution shape \
+                     ({strategy}, threads={threads}, morsel={morsel:?})"
                 );
             }
         }
     }
 }
 
-/// `QueryProfile` is worker-count independent in everything but wall
-/// time: output cardinality, query-wide counters, dual-stream totals,
-/// and the per-operator calls/rows/pos/neg multiset.
+/// `QueryProfile` is execution-shape independent in everything but
+/// wall time: output cardinality, query-wide counters, dual-stream
+/// totals, and the per-operator calls/rows/pos/neg/disjunct multiset.
 #[test]
 fn query_profiles_are_worker_count_independent() {
     // The per-node metric map is keyed by plan-node pointer, which
     // differs across runs; compare the sorted multiset of counter
     // tuples instead.
-    fn metric_multiset(p: &bypass::QueryProfile) -> Vec<(u64, u64, u64, u64)> {
-        let mut v: Vec<_> = p
-            .metrics
-            .values()
-            .map(|m| (m.calls, m.rows, m.pos_rows, m.neg_rows))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-    let db = morsel_database();
-    for strategy in Strategy::all() {
-        let reference = db
-            .profile_governed(Q1, strategy, &worker_limits(1))
-            .unwrap();
-        for threads in [2, 8] {
-            let profile = db
-                .profile_governed(Q1, strategy, &worker_limits(threads))
-                .unwrap();
-            assert_eq!(profile.strategy, reference.strategy);
-            assert_eq!(
-                profile.rows, reference.rows,
-                "output cardinality ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                profile.counters, reference.counters,
-                "profile counters ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                profile.bypass_totals(),
-                reference.bypass_totals(),
-                "dual-stream totals ({strategy}, threads={threads})"
-            );
-            assert_eq!(
-                metric_multiset(&profile),
-                metric_multiset(&reference),
-                "per-operator calls/rows ({strategy}, threads={threads})"
-            );
-        }
-    }
-}
-
-/// The rendered EXPLAIN ANALYZE report — plan shape, per-operator
-/// calls/rows, bypass splits, memo hit rates, governor peak bytes and
-/// checkpoint count — is identical at 1, 2 and 8 workers once timing
-/// tokens are stripped.
-#[test]
-fn explain_analyze_snapshots_are_worker_count_independent() {
-    let db = morsel_database();
-    for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
-            let reference = strip_timings(
-                &db.profile_governed(sql, strategy, &worker_limits(1))
-                    .unwrap()
-                    .render(),
-            );
-            assert!(
-                reference.contains("calls=") && reference.contains("peak_memory="),
-                "snapshot must carry counters:\n{reference}"
-            );
-            for threads in [2, 8] {
-                let snapshot = strip_timings(
-                    &db.profile_governed(sql, strategy, &worker_limits(threads))
-                        .unwrap()
-                        .render(),
-                );
-                assert_eq!(
-                    snapshot, reference,
-                    "EXPLAIN ANALYZE must not depend on the worker count \
-                     ({strategy}, threads={threads})"
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Angle 4: batch-size independence of the vectorized executor.
-// ---------------------------------------------------------------------------
-
-/// `RunLimits` that pin the batch size alongside the worker count
-/// (morsel fan-out stays forced so the batch × thread interaction is
-/// exercised, not just serial batching).
-fn batch_limits(batch: usize, threads: usize) -> RunLimits {
-    RunLimits {
-        threads: Some(threads),
-        morsel_rows: Some(2),
-        batch_rows: Some(batch),
-        ..RunLimits::default()
-    }
-}
-
-/// The exact row sequence and the full `ExecCounters` snapshot are
-/// independent of the batch size, for every strategy, serial and
-/// parallel: the vectorized path replays the row path's governor
-/// checkpoint/charge sequence exactly, and kernels are scratch
-/// evaluation the counters never see.
-#[test]
-fn executor_rows_and_counters_are_batch_size_independent() {
-    let db = morsel_database();
-    for strategy in Strategy::all() {
-        for sql in [Q1, Q1_ORDERED] {
-            let (ref_rows, ref_counters) =
-                db.run_governed(sql, strategy, &batch_limits(0, 1)).unwrap();
-            for batch in [1, 2, 64] {
-                for threads in [1, 8] {
-                    let (rows, counters) = db
-                        .run_governed(sql, strategy, &batch_limits(batch, threads))
-                        .unwrap();
-                    assert_eq!(
-                        rows.rows(),
-                        ref_rows.rows(),
-                        "row sequence must not depend on the batch size \
-                         ({strategy}, batch={batch}, threads={threads})"
-                    );
-                    assert_eq!(
-                        counters, ref_counters,
-                        "ExecCounters must not depend on the batch size \
-                         ({strategy}, batch={batch}, threads={threads})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `QueryProfile` is batch-size independent in everything but wall
-/// time: output cardinality, query-wide counters, dual-stream totals,
-/// per-operator calls/rows/pos/neg and the per-disjunct
-/// reach/decide counters of adaptive chains.
-#[test]
-fn query_profiles_are_batch_size_independent() {
-    // Pointer-keyed metric maps differ across runs; compare sorted
-    // multisets. Disjunct counters ride along so the adaptive ordering
-    // is proven identical in row and batch mode, not just the output.
+    // Disjunct counters ride along so the adaptive ordering is proven
+    // identical across shapes, not just the output.
     #[allow(clippy::type_complexity)]
     fn metric_multiset(p: &bypass::QueryProfile) -> Vec<(u64, u64, u64, u64, Vec<(u64, u64)>)> {
         let mut v: Vec<_> = p
@@ -360,63 +233,62 @@ fn query_profiles_are_batch_size_independent() {
     let db = morsel_database();
     for strategy in Strategy::all() {
         let reference = db
-            .profile_governed(Q1, strategy, &batch_limits(0, 1))
+            .profile_governed(Q1, strategy, &worker_limits(1, None))
             .unwrap();
-        for batch in [1, 2, 64] {
-            for threads in [1, 8] {
-                let profile = db
-                    .profile_governed(Q1, strategy, &batch_limits(batch, threads))
-                    .unwrap();
-                assert_eq!(profile.strategy, reference.strategy);
-                assert_eq!(
-                    profile.rows, reference.rows,
-                    "output cardinality ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    profile.counters, reference.counters,
-                    "profile counters ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    profile.bypass_totals(),
-                    reference.bypass_totals(),
-                    "dual-stream totals ({strategy}, batch={batch}, threads={threads})"
-                );
-                assert_eq!(
-                    metric_multiset(&profile),
-                    metric_multiset(&reference),
-                    "per-operator counters ({strategy}, batch={batch}, threads={threads})"
-                );
-            }
+        for (threads, morsel) in parallel_shapes() {
+            let profile = db
+                .profile_governed(Q1, strategy, &worker_limits(threads, morsel))
+                .unwrap();
+            let shape = format!("{strategy}, threads={threads}, morsel={morsel:?}");
+            assert_eq!(profile.strategy, reference.strategy);
+            assert_eq!(profile.rows, reference.rows, "output cardinality ({shape})");
+            assert_eq!(
+                profile.counters, reference.counters,
+                "profile counters ({shape})"
+            );
+            assert_eq!(
+                profile.bypass_totals(),
+                reference.bypass_totals(),
+                "dual-stream totals ({shape})"
+            );
+            assert_eq!(
+                metric_multiset(&profile),
+                metric_multiset(&reference),
+                "per-operator counters ({shape})"
+            );
         }
     }
 }
 
-/// The rendered EXPLAIN ANALYZE report — including the `disjuncts=[...]`
-/// selectivity block of adaptive chains — is identical at batch sizes
-/// 0, 1, 2 and 64 once timing tokens are stripped.
+/// The rendered EXPLAIN ANALYZE report — plan shape, per-operator
+/// calls/rows, bypass splits, memo hit rates, governor peak bytes and
+/// checkpoint count — is identical at 1, 2 and 8 workers and at every
+/// morsel size once timing tokens are stripped.
 #[test]
-fn explain_analyze_snapshots_are_batch_size_independent() {
+fn explain_analyze_snapshots_are_worker_count_independent() {
     let db = morsel_database();
     for strategy in Strategy::all() {
         for sql in [Q1, Q1_ORDERED] {
             let reference = strip_timings(
-                &db.profile_governed(sql, strategy, &batch_limits(0, 1))
+                &db.profile_governed(sql, strategy, &worker_limits(1, None))
                     .unwrap()
                     .render(),
             );
-            for batch in [1, 2, 64] {
-                for threads in [1, 8] {
-                    let snapshot = strip_timings(
-                        &db.profile_governed(sql, strategy, &batch_limits(batch, threads))
-                            .unwrap()
-                            .render(),
-                    );
-                    assert_eq!(
-                        snapshot, reference,
-                        "EXPLAIN ANALYZE must not depend on the batch size \
-                         ({strategy}, batch={batch}, threads={threads})"
-                    );
-                }
+            assert!(
+                reference.contains("calls=") && reference.contains("peak_memory="),
+                "snapshot must carry counters:\n{reference}"
+            );
+            for (threads, morsel) in parallel_shapes() {
+                let snapshot = strip_timings(
+                    &db.profile_governed(sql, strategy, &worker_limits(threads, morsel))
+                        .unwrap()
+                        .render(),
+                );
+                assert_eq!(
+                    snapshot, reference,
+                    "EXPLAIN ANALYZE must not depend on the execution shape \
+                     ({strategy}, threads={threads}, morsel={morsel:?})"
+                );
             }
         }
     }
