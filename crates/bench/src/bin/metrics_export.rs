@@ -2,8 +2,8 @@
 //! it in an export format.
 //!
 //! Runs the paper's evaluation queries on an RST instance under the
-//! full strategy matrix (plus one profiled run per query, which feeds
-//! the cardinality-feedback store), then prints the hub snapshot as
+//! full strategy matrix (plus one profiled run per query), then prints
+//! the hub snapshot as
 //! Prometheus text exposition (default) or JSON (`--json`). The
 //! Prometheus output is validated with the in-tree exposition-format
 //! validator before printing, so a zero exit status certifies a
@@ -60,8 +60,8 @@ fn main() {
                 eprintln!("{name}/{strategy}: {e}");
             }
         }
-        // One instrumented run records operator cardinalities into the
-        // feedback store (and the per-phase latency histograms).
+        // One instrumented run, through the same pipeline as the
+        // plain runs above.
         if let Err(e) = db.profile(sql, Strategy::Unnested) {
             eprintln!("{name}/profile: {e}");
         }

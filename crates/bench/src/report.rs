@@ -154,7 +154,7 @@ fn flatten_plan(
 /// indentation; percentages are computed against the root's inclusive
 /// time, so the `self` column surfaces where a plan actually spends its
 /// cycles (the thing the inline tree annotation of
-/// `Database::explain_analyze` makes hard to eyeball).
+/// `QueryProfile::render` makes hard to eyeball).
 pub fn profile_table(root: &Arc<PhysNode>, metrics: &HashMap<usize, NodeMetrics>) -> String {
     let mut rows = Vec::new();
     flatten_plan(root, 0, "", metrics, &mut HashMap::new(), &mut 1, &mut rows);

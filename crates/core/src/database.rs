@@ -8,7 +8,7 @@ use bypass_exec::{
     physical_plan, ExecContext, ExecCounters, ExecOptions, NodeMetrics, PhysExpr, PhysKind,
     PhysNode,
 };
-use bypass_metrics::{ExecObservation, MetricsHub, OpCardinality};
+use bypass_metrics::{ExecObservation, MetricsHub};
 use bypass_sql::{parse_statement, Expr, SelectStmt, Statement};
 use bypass_translate::{translate_query, Translator};
 use bypass_types::{
@@ -16,6 +16,7 @@ use bypass_types::{
 };
 use bypass_unnest::optimize_joins;
 
+use crate::strategy::CostEstimates;
 use crate::Strategy;
 
 /// [`bypass_unnest::cost::StatsSource`] backed by the catalog's table
@@ -42,7 +43,6 @@ impl bypass_unnest::cost::StatsSource for CatalogStats<'_> {
 #[derive(Debug, Clone)]
 pub struct Prepared {
     physical: Arc<PhysNode>,
-    options: ExecOptions,
     strategy: Strategy,
     fingerprint: u64,
     sql: String,
@@ -52,54 +52,19 @@ pub struct Prepared {
 impl Prepared {
     /// Run the compiled plan.
     pub fn execute(&self) -> Result<Relation> {
-        self.execute_with_timeout(None)
-    }
-
-    /// Run the compiled plan with a timeout. The deadline applies to
-    /// this run only; a timed-out `Prepared` can be re-executed (each
-    /// run gets a fresh `ExecContext`, so no memo or metric residue
-    /// survives a failed run).
-    pub fn execute_with_timeout(&self, timeout: Option<Duration>) -> Result<Relation> {
-        self.execute_governed(&RunLimits {
-            timeout,
-            ..Default::default()
-        })
-        .map(|(rel, _)| rel)
-    }
-
-    /// Run the compiled plan under a cooperative cancel token: the run
-    /// returns [`Error::Cancelled`](bypass_types::Error::Cancelled) at
-    /// its next governor checkpoint after `cancel.cancel()` fires.
-    pub fn execute_cancellable(&self, cancel: &CancelToken) -> Result<Relation> {
-        self.execute_governed(&RunLimits {
-            cancel: Some(cancel.clone()),
-            ..Default::default()
-        })
-        .map(|(rel, _)| rel)
+        self.execute_governed(&RunLimits::default())
+            .map(|(rel, _)| rel)
     }
 
     /// Run the compiled plan under explicit [`RunLimits`], returning
     /// the result together with the run's execution counters (memo
-    /// totals, peak governed memory, checkpoint count).
+    /// totals, peak governed memory, checkpoint count). The limits
+    /// apply to this run only; a run that times out or is cancelled
+    /// leaves the `Prepared` re-executable (each run gets a fresh
+    /// `ExecContext`, so no memo or metric residue survives it).
     pub fn execute_governed(&self, limits: &RunLimits) -> Result<(Relation, ExecCounters)> {
-        let mut options = self.options.clone();
-        limits.apply(&mut options);
-        let t0 = Instant::now();
-        let mut ctx = ExecContext::new(options);
-        let rel = ctx.eval_plan(&self.physical)?;
-        let counters = ctx.counters();
-        let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| shared.as_ref().clone());
-        self.hub.record_execution(&observation(
-            self.fingerprint,
-            &self.sql,
-            self.strategy,
-            t0.elapsed().as_nanos() as u64,
-            None,
-            rel.len(),
-            &counters,
-            "prepared",
-        ));
-        Ok((rel, counters))
+        self.run(limits, false, None)
+            .map(|run| (run.rel, run.counters))
     }
 
     /// The concrete strategy the query was compiled under (CostBased is
@@ -112,6 +77,137 @@ impl Prepared {
     /// this plan's executions are aggregated under in the metrics hub).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Execute and record: the step every run surface ends in. One
+    /// `ExecContext` (collecting per-operator metrics only when
+    /// `profile`), one hub record carrying the caller's SQL text.
+    /// `compiled` holds the front-half phase times of a run that was
+    /// compiled just now; a re-run `Prepared` records only its execute
+    /// time.
+    fn run(&self, limits: &RunLimits, profile: bool, compiled: Option<PhaseNanos>) -> Result<Run> {
+        let mut options = self.strategy.exec_options();
+        limits.apply(&mut options);
+        let mut phases = compiled.unwrap_or_default();
+        let (rel, counters, metrics) = {
+            let mut s = bypass_trace::span("execute");
+            if s.is_recording() {
+                s.arg("strategy", self.strategy.to_string());
+                s.arg(
+                    "fingerprint",
+                    bypass_metrics::format_fingerprint(self.fingerprint),
+                );
+            }
+            let t = Instant::now();
+            let mut ctx = ExecContext::new(options);
+            if profile {
+                ctx = ctx.with_metrics();
+            }
+            let rel = ctx.eval_plan(&self.physical)?;
+            phases.execute = t.elapsed().as_nanos();
+            let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| shared.as_ref().clone());
+            (rel, ctx.counters(), ctx.take_metrics())
+        };
+        let memo_hits = counters.memo_uncorr_hits + counters.memo_corr_hits;
+        let memo_misses = counters.memo_uncorr_misses + counters.memo_corr_misses;
+        if bypass_trace::enabled() {
+            bypass_trace::counter("memo_hits", memo_hits);
+            bypass_trace::counter("memo_misses", memo_misses);
+        }
+        let nanos = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
+        self.hub.record_execution(&ExecObservation {
+            fingerprint: self.fingerprint,
+            sql: self.sql.clone(),
+            strategy: self.strategy.to_string(),
+            total_nanos: nanos(phases.total()),
+            phases_nanos: compiled.map(|_| {
+                [
+                    phases.parse,
+                    phases.translate,
+                    phases.unnest,
+                    phases.optimize,
+                    phases.execute,
+                ]
+                .map(nanos)
+            }),
+            rows: rel.len() as u64,
+            peak_memory_bytes: counters.peak_memory_bytes,
+            checkpoints: counters.checkpoints,
+            memo_hits,
+            memo_misses,
+            disjunct_evals: counters.disjunct_evals,
+            disjunct_hits: counters.disjunct_hits,
+        });
+        Ok(Run {
+            rel,
+            counters,
+            metrics,
+            phases,
+        })
+    }
+}
+
+/// What one execute-and-record step produced.
+struct Run {
+    rel: Relation,
+    counters: ExecCounters,
+    /// Per-operator metrics; empty unless the run was profiled.
+    metrics: HashMap<usize, NodeMetrics>,
+    phases: PhaseNanos,
+}
+
+/// The output of [`Database::compile`]: the executable plan plus what
+/// EXPLAIN and the run record need.
+struct Compiled {
+    prepared: Prepared,
+    /// The strategy-rewritten, join-optimized logical plan.
+    logical: Arc<LogicalPlan>,
+    /// Every candidate's estimated cost when the caller asked for
+    /// [`Strategy::CostBased`]; empty otherwise.
+    estimates: CostEstimates,
+    /// Parse, translate, unnest and optimize times (execute is zero).
+    phases: PhaseNanos,
+}
+
+impl Compiled {
+    fn run(&self, limits: &RunLimits) -> Result<(Relation, ExecCounters)> {
+        let run = self.prepared.run(limits, false, Some(self.phases))?;
+        Ok((run.rel, run.counters))
+    }
+
+    fn profile(self, limits: &RunLimits) -> Result<QueryProfile> {
+        let run = self.prepared.run(limits, true, Some(self.phases))?;
+        Ok(QueryProfile {
+            strategy: self.prepared.strategy,
+            fingerprint: self.prepared.fingerprint,
+            physical: self.prepared.physical,
+            metrics: run.metrics,
+            counters: run.counters,
+            phases: run.phases,
+            rows: run.rel.len(),
+        })
+    }
+
+    /// The EXPLAIN report: the cost-based candidates (if any), the
+    /// logical plan and the physical operator tree.
+    fn explain(&self) -> String {
+        let strategy = self.prepared.strategy;
+        let mut out = String::new();
+        if !self.estimates.is_empty() {
+            out.push_str("-- cost-based choice:\n");
+            for (s, cost) in &self.estimates {
+                out.push_str(&format!(
+                    "--   {s}: {cost:.0}{}\n",
+                    if *s == strategy { "  <- chosen" } else { "" }
+                ));
+            }
+        }
+        out.push_str(&format!(
+            "-- logical plan ({strategy})\n{}\n-- physical plan\n{}",
+            self.logical.explain(),
+            self.prepared.physical.explain()
+        ));
+        out
     }
 }
 
@@ -399,8 +495,8 @@ impl Database {
         self.max_statement_bytes
     }
 
-    /// Reject oversized SQL text with a typed error — called by every
-    /// SQL-text entry point before `parse_statement`.
+    /// Reject oversized SQL text with a typed error — called before
+    /// any statement is parsed.
     fn check_statement_size(&self, sql: &str) -> Result<()> {
         if sql.len() > self.max_statement_bytes {
             return Err(Error::StatementTooLarge {
@@ -447,29 +543,12 @@ impl Database {
 
     /// Execute any supported statement.
     pub fn execute_sql(&mut self, sql: &str) -> Result<Response> {
-        self.check_statement_size(sql)?;
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let parse_nanos = t0.elapsed().as_nanos();
+        let (stmt, parse_nanos) = self.parse(sql)?;
+        let strategy = self.default_strategy;
         match stmt {
             Statement::Query(q) => {
-                let fingerprint = bypass_sql::fingerprint(&q);
-                let t = Instant::now();
-                let logical = translate_query(&self.catalog, &q)?;
-                let translate_nanos = t.elapsed().as_nanos() as u64;
-                let (rel, _) = self.run_observed(
-                    &logical,
-                    self.default_strategy,
-                    &RunLimits::default(),
-                    ObserveCtx {
-                        fingerprint,
-                        sql,
-                        parse_nanos: parse_nanos as u64,
-                        translate_nanos,
-                        detail: "query",
-                    },
-                )?;
-                Ok(Response::Rows(rel))
+                let compiled = self.compile(&q, sql, parse_nanos, strategy)?;
+                Ok(Response::Rows(compiled.run(&RunLimits::default())?.0))
             }
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(columns.iter().map(|(n, t)| Field::new(n, *t)).collect());
@@ -480,24 +559,13 @@ impl Database {
                 let n = self.insert(&table, rows)?;
                 Ok(Response::Inserted(n))
             }
-            Statement::Explain {
-                analyze: true,
-                query,
-            } => {
-                let profile = self.profile_query(
-                    &query,
-                    self.default_strategy,
-                    parse_nanos,
-                    &RunLimits::default(),
-                )?;
-                Ok(Response::Explained(profile.render()))
-            }
-            Statement::Explain {
-                analyze: false,
-                query,
-            } => {
-                let text = self.explain_parsed(&query, self.default_strategy)?;
-                Ok(Response::Explained(text))
+            Statement::Explain { analyze, query } => {
+                let compiled = self.compile(&query, sql, parse_nanos, strategy)?;
+                Ok(Response::Explained(if analyze {
+                    compiled.profile(&RunLimits::default())?.render()
+                } else {
+                    compiled.explain()
+                }))
             }
             Statement::ShowMetrics => Ok(Response::Metrics(bypass_metrics::render_prometheus(
                 &self.metrics.snapshot(),
@@ -530,186 +598,49 @@ impl Database {
 
     /// The canonical logical plan of a query (before strategy rewrites).
     pub fn logical_plan(&self, sql: &str) -> Result<Arc<LogicalPlan>> {
-        self.check_statement_size(sql)?;
-        match parse_statement(sql)? {
+        match self.parse(sql)?.0 {
             Statement::Query(q) => translate_query(&self.catalog, &q),
             _ => Err(Error::plan("not a SELECT statement")),
         }
-    }
-
-    /// Execute a prepared logical plan under a strategy. Without SQL
-    /// text there is no fingerprint, so this path feeds the unnest-
-    /// outcome counters but not the per-query stats table.
-    pub fn run(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-        timeout: Option<Duration>,
-    ) -> Result<Relation> {
-        let strategy = self.resolve_strategy(canonical, strategy)?;
-        let logical = {
-            let mut s = bypass_trace::span("prepare");
-            if s.is_recording() {
-                s.arg("strategy", strategy.to_string());
-            }
-            let prepared = strategy.prepare(canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            prepared?
-        };
-        let physical = physical_plan(&logical, &self.catalog)?;
-        let options = ExecOptions {
-            timeout,
-            ..strategy.exec_options()
-        };
-        let mut s = bypass_trace::span("execute");
-        if s.is_recording() {
-            s.arg("strategy", strategy.to_string());
-        }
-        bypass_exec::evaluate_with(&physical, options)
-    }
-
-    /// Run a `SELECT` under a cooperative cancel token. Calling
-    /// `cancel.cancel()` from any thread makes the run return
-    /// [`Error::Cancelled`](bypass_types::Error::Cancelled) at its next
-    /// governor checkpoint; the database stays fully usable afterwards.
-    ///
-    /// ```
-    /// use bypass_core::{Database, Strategy};
-    /// use bypass_types::CancelToken;
-    /// let mut db = Database::new();
-    /// db.execute_sql("CREATE TABLE t (x INT)").unwrap();
-    /// db.execute_sql("INSERT INTO t VALUES (1), (2)").unwrap();
-    /// let token = CancelToken::new();
-    /// token.cancel(); // cancel before the run: fails at checkpoint 1
-    /// let err = db
-    ///     .run_cancellable("SELECT x FROM t", Strategy::Canonical, &token)
-    ///     .unwrap_err();
-    /// assert_eq!(err, bypass_types::Error::Cancelled);
-    /// token.reset();
-    /// assert_eq!(
-    ///     db.run_cancellable("SELECT x FROM t", Strategy::Canonical, &token)
-    ///         .unwrap()
-    ///         .len(),
-    ///     2
-    /// );
-    /// ```
-    pub fn run_cancellable(
-        &self,
-        sql: &str,
-        strategy: Strategy,
-        cancel: &CancelToken,
-    ) -> Result<Relation> {
-        self.run_governed(
-            sql,
-            strategy,
-            &RunLimits {
-                cancel: Some(cancel.clone()),
-                ..Default::default()
-            },
-        )
-        .map(|(rel, _)| rel)
     }
 
     /// Run a `SELECT` under explicit [`RunLimits`] (deadline, memory
     /// budget, cancel token, injected fault), returning the result and
     /// the run's [`ExecCounters`] — including the governor's
     /// deterministic peak-memory and checkpoint totals.
+    ///
+    /// A cancel token makes the run return [`Error::Cancelled`] at its
+    /// next governor checkpoint after `cancel()` fires from any thread;
+    /// the database stays fully usable afterwards:
+    ///
+    /// ```
+    /// use bypass_core::{CancelToken, Database, Error, RunLimits, Strategy};
+    /// let mut db = Database::new();
+    /// db.execute_sql("CREATE TABLE t (x INT)").unwrap();
+    /// db.execute_sql("INSERT INTO t VALUES (1), (2)").unwrap();
+    /// let token = CancelToken::new();
+    /// let limits = RunLimits {
+    ///     cancel: Some(token.clone()),
+    ///     ..Default::default()
+    /// };
+    /// token.cancel(); // cancel before the run: fails at checkpoint 1
+    /// let err = db
+    ///     .run_governed("SELECT x FROM t", Strategy::Canonical, &limits)
+    ///     .unwrap_err();
+    /// assert_eq!(err, Error::Cancelled);
+    /// token.reset(); // re-arms the same token
+    /// let (rows, _) = db
+    ///     .run_governed("SELECT x FROM t", Strategy::Canonical, &limits)
+    ///     .unwrap();
+    /// assert_eq!(rows.len(), 2);
+    /// ```
     pub fn run_governed(
         &self,
         sql: &str,
         strategy: Strategy,
         limits: &RunLimits,
     ) -> Result<(Relation, ExecCounters)> {
-        self.check_statement_size(sql)?;
-        let t0 = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let parse_nanos = t0.elapsed().as_nanos() as u64;
-        let Statement::Query(q) = stmt else {
-            return Err(Error::plan("not a SELECT statement"));
-        };
-        let fingerprint = bypass_sql::fingerprint(&q);
-        let t = Instant::now();
-        let canonical = translate_query(&self.catalog, &q)?;
-        let translate_nanos = t.elapsed().as_nanos() as u64;
-        self.run_observed(
-            &canonical,
-            strategy,
-            limits,
-            ObserveCtx {
-                fingerprint,
-                sql,
-                parse_nanos,
-                translate_nanos,
-                detail: "governed",
-            },
-        )
-    }
-
-    /// Prepare, plan and execute an already-translated query while
-    /// recording the run into the metrics hub — the shared tail of
-    /// every SQL-text entry point (which alone know the fingerprint).
-    fn run_observed(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-        limits: &RunLimits,
-        obs: ObserveCtx<'_>,
-    ) -> Result<(Relation, ExecCounters)> {
-        let strategy = self.resolve_strategy(canonical, strategy)?;
-        let t = Instant::now();
-        let logical = {
-            let mut s = bypass_trace::span("prepare");
-            if s.is_recording() {
-                s.arg("strategy", strategy.to_string());
-                s.arg(
-                    "fingerprint",
-                    bypass_metrics::format_fingerprint(obs.fingerprint),
-                );
-            }
-            let prepared = strategy.prepare(canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            prepared?
-        };
-        let unnest_nanos = t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let physical = physical_plan(&logical, &self.catalog)?;
-        let optimize_nanos = t.elapsed().as_nanos() as u64;
-        let mut options = strategy.exec_options();
-        limits.apply(&mut options);
-        let mut s = bypass_trace::span("execute");
-        if s.is_recording() {
-            s.arg("strategy", strategy.to_string());
-            s.arg(
-                "fingerprint",
-                bypass_metrics::format_fingerprint(obs.fingerprint),
-            );
-        }
-        let t = Instant::now();
-        let mut ctx = ExecContext::new(options);
-        let rel = ctx.eval_plan(&physical)?;
-        let counters = ctx.counters();
-        let execute_nanos = t.elapsed().as_nanos() as u64;
-        let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| shared.as_ref().clone());
-        let phases = [
-            obs.parse_nanos,
-            obs.translate_nanos,
-            unnest_nanos,
-            optimize_nanos,
-            execute_nanos,
-        ];
-        self.metrics.record_execution(&observation(
-            obs.fingerprint,
-            obs.sql,
-            strategy,
-            phases.iter().sum(),
-            Some(phases),
-            rel.len(),
-            &counters,
-            obs.detail,
-        ));
-        Ok((rel, counters))
+        self.compile_sql(sql, strategy, false)?.run(limits)
     }
 
     /// Compile a `SELECT` once for repeated execution.
@@ -724,83 +655,23 @@ impl Database {
     /// assert_eq!(q.execute().unwrap().len(), 2); // no re-planning
     /// ```
     pub fn prepare(&self, sql: &str, strategy: Strategy) -> Result<Prepared> {
-        self.check_statement_size(sql)?;
-        let Statement::Query(q) = parse_statement(sql)? else {
-            return Err(Error::plan("not a SELECT statement"));
-        };
-        let fingerprint = bypass_sql::fingerprint(&q);
-        let canonical = translate_query(&self.catalog, &q)?;
-        let strategy = self.resolve_strategy(&canonical, strategy)?;
-        let prepared = strategy.prepare(&canonical);
-        self.metrics
-            .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-        let logical = prepared?;
-        let physical = physical_plan(&logical, &self.catalog)?;
-        Ok(Prepared {
-            physical,
-            options: strategy.exec_options(),
-            strategy,
-            fingerprint,
-            sql: sql.to_string(),
-            hub: Arc::clone(&self.metrics),
-        })
+        Ok(self.compile_sql(sql, strategy, false)?.prepared)
     }
 
     /// EXPLAIN: the strategy-rewritten logical plan followed by the
     /// physical operator tree. For [`Strategy::CostBased`], the chosen
     /// strategy and all candidate cost estimates are reported.
     pub fn explain(&self, sql: &str, strategy: Strategy) -> Result<String> {
-        self.check_statement_size(sql)?;
-        match parse_statement(sql)? {
-            Statement::Query(q) | Statement::Explain { query: q, .. } => {
-                self.explain_parsed(&q, strategy)
-            }
-            _ => Err(Error::plan("not a SELECT statement")),
-        }
-    }
-
-    /// [`Database::explain`] on an already-parsed query block.
-    fn explain_parsed(&self, query: &SelectStmt, strategy: Strategy) -> Result<String> {
-        let canonical = translate_query(&self.catalog, query)?;
-        let mut header = String::new();
-        let strategy = if strategy == Strategy::CostBased {
-            let (chosen, estimates) =
-                Strategy::choose_by_cost(&canonical, &CatalogStats(&self.catalog))?;
-            header.push_str("-- cost-based choice:\n");
-            for (s, cost) in estimates {
-                header.push_str(&format!(
-                    "--   {s}: {cost:.0}{}\n",
-                    if s == chosen { "  <- chosen" } else { "" }
-                ));
-            }
-            chosen
-        } else {
-            strategy
-        };
-        let logical = strategy.prepare(&canonical)?;
-        let physical = physical_plan(&logical, &self.catalog)?;
-        Ok(format!(
-            "{header}-- logical plan ({strategy})\n{}\n-- physical plan\n{}",
-            logical.explain(),
-            physical.explain()
-        ))
-    }
-
-    /// EXPLAIN ANALYZE: execute the query with full instrumentation
-    /// and render phase timings, the metric-annotated physical plan
-    /// (per-bypass-node positive/negative stream counts included) and
-    /// the query-wide counter footer. Operators inside a correlated
-    /// subplan show `calls > 1` — the visible signature of nested-loop
-    /// evaluation that unnesting removes.
-    pub fn explain_analyze(&self, sql: &str, strategy: Strategy) -> Result<String> {
-        Ok(self.profile(sql, strategy)?.render())
+        Ok(self.compile_sql(sql, strategy, true)?.explain())
     }
 
     /// Execute with full instrumentation and return the raw
     /// [`QueryProfile`]: physical plan, per-operator metrics,
     /// query-wide counters, phase timings and output cardinality.
-    /// [`QueryProfile::render`] produces the EXPLAIN ANALYZE report;
-    /// `bypass_bench::report::profile_table` renders a flat
+    /// [`QueryProfile::render`] produces the EXPLAIN ANALYZE report
+    /// (operators inside a correlated subplan show `calls > 1` — the
+    /// visible signature of nested-loop evaluation that unnesting
+    /// removes); `bypass_bench::report::profile_table` renders a flat
     /// exclusive-time table from the same data.
     pub fn profile(&self, sql: &str, strategy: Strategy) -> Result<QueryProfile> {
         self.profile_governed(sql, strategy, &RunLimits::default())
@@ -816,132 +687,92 @@ impl Database {
         strategy: Strategy,
         limits: &RunLimits,
     ) -> Result<QueryProfile> {
+        self.compile_sql(sql, strategy, true)?.profile(limits)
+    }
+
+    /// Reject oversized text, then parse one statement, timing the
+    /// parse (the `sql.parse` span is opened by the SQL crate).
+    fn parse(&self, sql: &str) -> Result<(Statement, u128)> {
         self.check_statement_size(sql)?;
-        let t0 = Instant::now();
+        let t = Instant::now();
         let stmt = parse_statement(sql)?;
-        let parse_nanos = t0.elapsed().as_nanos();
-        match stmt {
-            Statement::Query(q) | Statement::Explain { query: q, .. } => {
-                self.profile_query(&q, strategy, parse_nanos, limits)
+        Ok((stmt, t.elapsed().as_nanos()))
+    }
+
+    /// Parse and [compile](Database::compile) SQL text that must be a
+    /// `SELECT` — or, for the plan-inspection surfaces (`explain_ok`),
+    /// an `EXPLAIN`-wrapped one.
+    fn compile_sql(&self, sql: &str, strategy: Strategy, explain_ok: bool) -> Result<Compiled> {
+        match self.parse(sql)? {
+            (Statement::Query(q), parse_nanos) => self.compile(&q, sql, parse_nanos, strategy),
+            (Statement::Explain { query, .. }, parse_nanos) if explain_ok => {
+                self.compile(&query, sql, parse_nanos, strategy)
             }
             _ => Err(Error::plan("not a SELECT statement")),
         }
     }
 
-    /// Instrumented run of an already-parsed query block. Every phase
-    /// is timed directly *and* wrapped in a `bypass-trace` span, so a
-    /// Chrome trace of the run nests `query > translate/unnest/
-    /// optimize/execute` (the parse span is emitted by the SQL crate
-    /// around `parse_statement`, before this method).
-    fn profile_query(
+    /// The front half of every query run: fingerprint, translate, the
+    /// cost-based choice, strategy rewrite, join optimization and
+    /// physical planning. Each phase is timed and traced as the
+    /// `translate` / `unnest` / `optimize` span (the cost-based choice
+    /// counts as unnesting: it rewrites every candidate); the `execute`
+    /// span carries the resolved strategy and fingerprint. The unnest-
+    /// outcome tally is drained into this database's hub exactly once,
+    /// whether compilation succeeds or fails.
+    fn compile(
         &self,
         query: &SelectStmt,
-        strategy: Strategy,
+        sql: &str,
         parse_nanos: u128,
-        limits: &RunLimits,
-    ) -> Result<QueryProfile> {
+        strategy: Strategy,
+    ) -> Result<Compiled> {
+        let fingerprint = bypass_sql::fingerprint(query);
         let mut phases = PhaseNanos {
             parse: parse_nanos,
             ..Default::default()
         };
-        let fingerprint = bypass_sql::fingerprint(query);
-        let mut span = bypass_trace::span("core.profile_query");
-        span.arg(
-            "fingerprint",
-            bypass_metrics::format_fingerprint(fingerprint),
-        );
-        let t = Instant::now();
-        let canonical = {
-            let _s = bypass_trace::span("translate");
-            translate_query(&self.catalog, query)?
+        let mut plan = || -> Result<_> {
+            let canonical = phase("translate", &mut phases.translate, || {
+                translate_query(&self.catalog, query)
+            })?;
+            let (chosen, estimates, rewritten) =
+                phase("unnest", &mut phases.unnest, || match strategy {
+                    Strategy::CostBased => {
+                        Strategy::choose_by_cost(&canonical, &CatalogStats(&self.catalog))
+                    }
+                    other => Ok((other, Vec::new(), other.rewrite_nesting(&canonical)?)),
+                })?;
+            let (logical, physical) = phase("optimize", &mut phases.optimize, || {
+                // The cost-based winner comes back join-optimized: its
+                // estimate was taken on the fully prepared plan.
+                let logical = match strategy {
+                    Strategy::CostBased => rewritten,
+                    _ => optimize_joins(&rewritten),
+                };
+                Ok((
+                    Arc::clone(&logical),
+                    physical_plan(&logical, &self.catalog)?,
+                ))
+            })?;
+            Ok((chosen, estimates, logical, physical))
         };
-        phases.translate = t.elapsed().as_nanos();
-        let strategy = self.resolve_strategy(&canonical, strategy)?;
-        span.arg("strategy", strategy.to_string());
-        let t = Instant::now();
-        let rewritten = {
-            let mut s = bypass_trace::span("unnest");
-            s.arg("strategy", strategy.to_string());
-            let rewritten = strategy.rewrite_nesting(&canonical);
-            self.metrics
-                .record_unnest_outcomes(&bypass_unnest::take_outcomes());
-            rewritten?
-        };
-        phases.unnest = t.elapsed().as_nanos();
-        let t = Instant::now();
-        let physical = {
-            let _s = bypass_trace::span("optimize");
-            let logical = optimize_joins(&rewritten);
-            physical_plan(&logical, &self.catalog)?
-        };
-        phases.optimize = t.elapsed().as_nanos();
-        let t = Instant::now();
-        let (rel, metrics, counters) = {
-            let _s = bypass_trace::span("execute");
-            let mut options = strategy.exec_options();
-            limits.apply(&mut options);
-            let mut ctx = ExecContext::new(options).with_metrics();
-            let rel = ctx.eval_plan(&physical)?;
-            let counters = ctx.counters();
-            (rel, ctx.take_metrics(), counters)
-        };
-        phases.execute = t.elapsed().as_nanos();
-        if bypass_trace::enabled() {
-            bypass_trace::counter(
-                "memo_hits",
-                counters.memo_uncorr_hits + counters.memo_corr_hits,
-            );
-            bypass_trace::counter(
-                "memo_misses",
-                counters.memo_uncorr_misses + counters.memo_corr_misses,
-            );
-        }
-        let profile = QueryProfile {
-            strategy,
-            fingerprint,
-            physical,
-            metrics,
-            counters,
+        let planned = plan();
+        self.metrics
+            .record_unnest_outcomes(&bypass_unnest::take_outcomes());
+        let (strategy, estimates, logical, physical) = planned?;
+        Ok(Compiled {
+            prepared: Prepared {
+                physical,
+                strategy,
+                fingerprint,
+                sql: sql.to_string(),
+                hub: Arc::clone(&self.metrics),
+            },
+            logical,
+            estimates,
             phases,
-            rows: rel.len(),
-        };
-        let clamp = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
-        self.metrics.record_execution(&observation(
-            fingerprint,
-            &bypass_sql::normalized_sql(query),
-            strategy,
-            clamp(phases.total()),
-            Some([
-                clamp(phases.parse),
-                clamp(phases.translate),
-                clamp(phases.unnest),
-                clamp(phases.optimize),
-                clamp(phases.execute),
-            ]),
-            profile.rows,
-            &profile.counters,
-            "profile",
-        ));
-        self.metrics.record_cardinalities(
-            fingerprint,
-            op_cardinalities(&profile.physical, &profile.metrics),
-        );
-        Ok(profile)
-    }
-
-    /// Resolve [`Strategy::CostBased`] to a concrete strategy for this
-    /// plan; other strategies pass through.
-    fn resolve_strategy(
-        &self,
-        canonical: &Arc<LogicalPlan>,
-        strategy: Strategy,
-    ) -> Result<Strategy> {
-        if strategy == Strategy::CostBased {
-            let (chosen, _) = Strategy::choose_by_cost(canonical, &CatalogStats(&self.catalog))?;
-            Ok(chosen)
-        } else {
-            Ok(strategy)
-        }
+        })
     }
 
     fn insert(&mut self, table: &str, rows: Vec<Vec<Expr>>) -> Result<usize> {
@@ -985,84 +816,13 @@ impl Database {
     }
 }
 
-/// What a SQL-text entry point knows about the run it is about to
-/// observe: the fingerprint, the original text, the already-measured
-/// parse/translate times and a short label for the execution path.
-struct ObserveCtx<'a> {
-    fingerprint: u64,
-    sql: &'a str,
-    parse_nanos: u64,
-    translate_nanos: u64,
-    detail: &'a str,
-}
-
-/// Package one finished run as the [`ExecObservation`] the metrics hub
-/// records.
-#[allow(clippy::too_many_arguments)]
-fn observation(
-    fingerprint: u64,
-    sql: &str,
-    strategy: Strategy,
-    total_nanos: u64,
-    phases_nanos: Option<[u64; 5]>,
-    rows: usize,
-    counters: &ExecCounters,
-    detail: &str,
-) -> ExecObservation {
-    ExecObservation {
-        fingerprint,
-        sql: sql.to_string(),
-        strategy: strategy.to_string(),
-        total_nanos,
-        phases_nanos,
-        rows: rows as u64,
-        peak_memory_bytes: counters.peak_memory_bytes,
-        checkpoints: counters.checkpoints,
-        memo_hits: counters.memo_uncorr_hits + counters.memo_corr_hits,
-        memo_misses: counters.memo_uncorr_misses + counters.memo_corr_misses,
-        disjunct_evals: counters.disjunct_evals,
-        disjunct_hits: counters.disjunct_hits,
-        detail: detail.to_string(),
-    }
-}
-
-/// Flatten a profiled physical tree into the cardinality-feedback
-/// records: deterministic pre-order walk (children before expression
-/// subplans, shared DAG nodes once), each operator labelled
-/// `position:name` so the label survives pointer reuse across runs.
-fn op_cardinalities(
-    root: &Arc<PhysNode>,
-    metrics: &HashMap<usize, NodeMetrics>,
-) -> Vec<OpCardinality> {
-    fn walk(
-        n: &Arc<PhysNode>,
-        seen: &mut std::collections::HashSet<*const PhysNode>,
-        out: &mut Vec<OpCardinality>,
-        metrics: &HashMap<usize, NodeMetrics>,
-    ) {
-        if !seen.insert(Arc::as_ptr(n)) {
-            return;
-        }
-        let m = metrics.get(&(Arc::as_ptr(n) as usize));
-        out.push(OpCardinality {
-            label: format!("{}:{}", out.len(), n.name()),
-            calls: m.map_or(0, |m| m.calls),
-            rows: m.map_or(0, |m| m.rows),
-        });
-        for c in n.children() {
-            walk(c, seen, out, metrics);
-        }
-        for c in n.expr_subplans() {
-            walk(c, seen, out, metrics);
-        }
-    }
-    let mut out = Vec::new();
-    walk(
-        root,
-        &mut std::collections::HashSet::new(),
-        &mut out,
-        metrics,
-    );
+/// Run one compile phase under its trace span, recording its wall time
+/// in `nanos`.
+fn phase<T>(name: &'static str, nanos: &mut u128, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    let _span = bypass_trace::span(name);
+    let t = Instant::now();
+    let out = f();
+    *nanos = t.elapsed().as_nanos();
     out
 }
 
@@ -1157,6 +917,10 @@ mod tests {
         expect(db.prepare(&big, Strategy::Unnested).map(drop));
         expect(db.explain(&big, Strategy::Unnested).map(drop));
         expect(db.profile(&big, Strategy::Unnested).map(drop));
+        expect(
+            db.profile_governed(&big, Strategy::Unnested, &RunLimits::default())
+                .map(drop),
+        );
         expect(db.logical_plan(&big).map(drop));
         expect(db.execute_sql(&big).map(drop));
         // The database stays fully usable afterwards.
@@ -1232,11 +996,11 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_shows_calls_and_rows() {
+    fn profile_report_shows_calls_and_rows() {
         let db = db();
         let q = "SELECT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 5000";
         // Canonical: the subplan runs once per probed outer tuple.
-        let text = db.explain_analyze(q, Strategy::Canonical).unwrap();
+        let text = db.profile(q, Strategy::Canonical).unwrap().render();
         assert!(text.contains("calls="), "{text}");
         assert!(text.contains("output rows"), "{text}");
         // The inner aggregate executes more than once (nested loop).
@@ -1246,7 +1010,7 @@ mod tests {
             .any(|l| !l.contains("calls=1 "));
         assert!(nested_calls, "expected repeated subplan calls:\n{text}");
         // Unnested: every operator runs exactly once.
-        let text = db.explain_analyze(q, Strategy::Unnested).unwrap();
+        let text = db.profile(q, Strategy::Unnested).unwrap().render();
         assert!(
             text.lines()
                 .filter(|l| l.contains("calls="))

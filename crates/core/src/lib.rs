@@ -2,6 +2,12 @@
 //! under selectable evaluation [`Strategy`]s — the canonical nested-loop
 //! plans, the paper's bypass-unnested plans, and the three simulated
 //! commercial baselines of the evaluation study.
+//!
+//! Every run surface of [`Database`] (`execute_sql`, `sql`, `sql_with`,
+//! `run_governed`, `profile`, `profile_governed`, `prepare` →
+//! [`Prepared`], `explain`) is a thin wrapper over one compile step and
+//! one execute-and-record step (DESIGN.md §9), so strategies differ in
+//! timings, spans and metrics only through their plans.
 
 mod database;
 mod strategy;
@@ -16,8 +22,8 @@ pub use bypass_catalog::{Catalog, TableBuilder};
 pub use bypass_exec::{ExecCounters, ExecOptions};
 pub use bypass_metrics::{
     format_fingerprint, render_json, render_prometheus, validate_prometheus, ExecObservation,
-    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, OpCardinality, QueryStatsSnapshot,
-    SlowQuery, Snapshot as MetricsSnapshot,
+    HistogramSnapshot, MetricEntry, MetricValue, MetricsHub, QueryStatsSnapshot, SlowQuery,
+    Snapshot as MetricsSnapshot,
 };
 pub use bypass_sql::{fingerprint, fingerprint_sql, normalized_sql};
 pub use bypass_types::{

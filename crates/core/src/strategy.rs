@@ -8,6 +8,10 @@ use bypass_unnest::{
     optimize_joins, reorder_or_disjuncts, union_rewrite, unnest, DisjunctOrder, RewriteOptions,
 };
 
+/// Every cost-based candidate with its estimated cost, in
+/// [`Strategy::cost_candidates`] order.
+pub(crate) type CostEstimates = Vec<(Strategy, f64)>;
+
 /// Evaluation strategies of the reproduction study.
 ///
 /// `Canonical` and `Unnested` are the two Natix plans of the paper;
@@ -78,8 +82,8 @@ impl Strategy {
     }
 
     /// The unnesting half of [`Strategy::prepare`] (no join
-    /// optimization) — exposed to the crate so the profiler can time
-    /// the unnest and optimize phases separately.
+    /// optimization) — exposed to the crate so the query pipeline can
+    /// time the unnest and optimize phases separately.
     pub(crate) fn rewrite_nesting(self, plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
         match self {
             Strategy::Canonical | Strategy::S3Materialized => {
@@ -96,30 +100,33 @@ impl Strategy {
             ),
             Strategy::S2UnionRewrite => union_rewrite(plan),
             Strategy::CostBased => unreachable!(
-                "CostBased is resolved to a concrete strategy before prepare \
-                 (Database::run / Strategy::choose_by_cost)"
+                "CostBased is resolved to a concrete strategy by \
+                 Strategy::choose_by_cost before any rewrite"
             ),
         }
     }
 
     /// Resolve [`Strategy::CostBased`] for a concrete plan: prepare every
-    /// candidate, estimate it, pick the cheapest. Other strategies
-    /// return themselves. Also returns the estimates for EXPLAIN output.
+    /// [candidate](Strategy::cost_candidates) once, estimate it, pick
+    /// the cheapest. Returns the chosen strategy, every candidate's
+    /// estimate (for EXPLAIN output) and the chosen candidate's
+    /// prepared plan, so the winner is never prepared twice.
     pub fn choose_by_cost(
         plan: &Arc<LogicalPlan>,
         stats: &dyn bypass_unnest::cost::StatsSource,
-    ) -> Result<(Strategy, Vec<(Strategy, f64)>)> {
-        let mut best: Option<(Strategy, f64)> = None;
+    ) -> Result<(Strategy, CostEstimates, Arc<LogicalPlan>)> {
+        let mut best: Option<(Strategy, f64, Arc<LogicalPlan>)> = None;
         let mut all = Vec::new();
         for candidate in Strategy::cost_candidates() {
             let prepared = candidate.prepare(plan)?;
             let est = bypass_unnest::cost::estimate(&prepared, stats);
             all.push((candidate, est.cost));
-            if best.map(|(_, c)| est.cost < c).unwrap_or(true) {
-                best = Some((candidate, est.cost));
+            if best.as_ref().is_none_or(|(_, c, _)| est.cost < *c) {
+                best = Some((candidate, est.cost, prepared));
             }
         }
-        Ok((best.expect("non-empty candidates").0, all))
+        let (chosen, _, prepared) = best.expect("non-empty candidates");
+        Ok((chosen, all, prepared))
     }
 
     /// The executor options this strategy runs with.
@@ -225,6 +232,52 @@ mod tests {
         let p = Strategy::S2UnionRewrite.prepare(&nested_plan()).unwrap();
         assert!(!p.contains_subquery());
         assert!(!p.explain().contains("σ±"));
+    }
+
+    /// `choose_by_cost` hands back the winner's prepared plan, so a
+    /// cost-based run records exactly the unnest outcomes of one
+    /// `prepare` per candidate — the winner is not rewritten again.
+    #[test]
+    fn cost_based_run_prepares_each_candidate_once() {
+        let hub = Arc::new(bypass_metrics::MetricsHub::new());
+        let mut db = crate::Database::new().with_metrics_hub(Arc::clone(&hub));
+        // 500 × 500 rows: large enough that the nested-loop plan loses.
+        let rows = |m: i64| {
+            let rows: Vec<String> = (0..500i64)
+                .map(|i| format!("({}, {}, 0, {})", i % 7, i % 50, i * m % 3000))
+                .collect();
+            rows.join(", ")
+        };
+        db.execute_sql("CREATE TABLE r (a1 INT, a2 INT, a3 INT, a4 INT)")
+            .unwrap();
+        db.execute_sql("CREATE TABLE s (b1 INT, b2 INT, b3 INT, b4 INT)")
+            .unwrap();
+        db.execute_sql(&format!("INSERT INTO r VALUES {}", rows(7)))
+            .unwrap();
+        db.execute_sql(&format!("INSERT INTO s VALUES {}", rows(13)))
+            .unwrap();
+        let q2 = "SELECT DISTINCT * FROM r \
+                  WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
+
+        // The tally sums per key until drained: one prepare per candidate.
+        let canonical = db.logical_plan(q2).unwrap();
+        bypass_unnest::take_outcomes();
+        for candidate in Strategy::cost_candidates() {
+            candidate.prepare(&canonical).unwrap();
+        }
+        let expected = bypass_unnest::take_outcomes();
+        assert!(!expected.is_empty());
+
+        db.sql_with(q2, Strategy::CostBased, None).unwrap();
+        let snap = hub.snapshot();
+        let unnested = [("strategy", "unnested")];
+        assert_eq!(snap.counter("bypass_queries_total", &unnested), 1);
+        let outcomes = "bypass_unnest_outcomes_total";
+        for (key, n) in &expected {
+            assert_eq!(snap.counter(outcomes, &[("outcome", key)]), *n, "{key}");
+        }
+        let keys = snap.entries.iter().filter(|e| e.name == outcomes).count();
+        assert_eq!(keys, expected.len(), "no outcome beyond the candidates'");
     }
 
     #[test]

@@ -30,6 +30,12 @@ BYPASS_THREADS=8 cargo test -q --workspace
 # the two invocations here exercise the runner's own file-level
 # scheduling serial and at 8 workers, printing the per-file pass table
 # both times (DESIGN.md §10).
+# The repository benchmark is a separate workspace built from these
+# crates by path; its self-tests fail here, not only at benchmark time,
+# when a change to the engine's public API breaks it.
+echo "==> perf_ledger self-tests"
+cargo test -q --offline --manifest-path perf_ledger/Cargo.toml
+
 echo "==> slt conformance corpus (serial file runner)"
 cargo run -q --release -p bypass-slt --bin slt_runner -- --workers 1 tests/slt
 

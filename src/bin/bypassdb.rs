@@ -174,8 +174,8 @@ impl Shell {
             }
             "\\analyze" => {
                 let sql = line.trim_start_matches("\\analyze").trim();
-                match self.db.explain_analyze(sql, self.strategy) {
-                    Ok(text) => println!("{text}"),
+                match self.db.profile(sql, self.strategy) {
+                    Ok(profile) => println!("{}", profile.render()),
                     Err(e) => eprintln!("error: {e}"),
                 }
             }

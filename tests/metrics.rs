@@ -1,8 +1,7 @@
 //! End-to-end gates for the always-on metrics registry (DESIGN.md §9):
 //! deterministic snapshots across the execution-shape matrix, the
 //! `SHOW METRICS` statement, query fingerprints on every surface, and
-//! the per-fingerprint stats / slow-query / cardinality-feedback read
-//! APIs.
+//! the per-fingerprint stats and slow-query read APIs.
 
 use std::sync::Arc;
 
@@ -199,37 +198,83 @@ fn prepared_statements_share_the_fingerprint() {
     assert_eq!(stats.execs, 2);
 }
 
-/// Profiled runs record measured per-operator cardinalities into the
-/// feedback store, readable back by fingerprint.
+/// Every public run surface goes through the same compile and
+/// execute-and-record steps: Q1 run once through each of five surfaces
+/// lands five executions under one fingerprint, and every run adds
+/// the same rows and governor checkpoints.
 #[test]
-fn profile_feeds_the_cardinality_store() {
+fn every_run_surface_records_one_identical_execution() {
     let hub = Arc::new(MetricsHub::new());
-    let db = rst_database(Arc::clone(&hub));
+    let mut db = rst_database(Arc::clone(&hub)).with_default_strategy(Strategy::Unnested);
     let fp = fingerprint_sql(Q1).unwrap();
-
-    assert_eq!(hub.cardinalities(fp), None, "store starts empty");
-    let profile = db.profile(Q1, Strategy::Unnested).unwrap();
-    assert_eq!(profile.fingerprint, fp);
-
-    assert!(hub.feedback_fingerprints().contains(&fp));
-    let (runs, ops) = hub.cardinalities(fp).expect("profiled run recorded");
-    assert_eq!(runs, 1, "one profiled observation so far");
-    assert!(!ops.is_empty(), "operator cardinalities recorded");
-    // Labels are stable plan positions, and the root operator's row
-    // count is the query's output cardinality.
-    for op in &ops {
-        assert!(
-            op.label.contains(':'),
-            "label {:?} not position:name",
-            op.label
+    // (execs, rows, checkpoints) accumulated under Q1's fingerprint.
+    let stats = || {
+        hub.query_stats(fp)
+            .map_or((0, 0, 0), |s| (s.execs, s.rows, s.checkpoints))
+    };
+    type Surface = (&'static str, fn(&mut Database));
+    let surfaces: [Surface; 5] = [
+        ("execute_sql", |db| drop(db.execute_sql(Q1).unwrap())),
+        ("sql_with", |db| {
+            db.sql_with(Q1, Strategy::Unnested, None).unwrap();
+        }),
+        ("run_governed", |db| {
+            db.run_governed(Q1, Strategy::Unnested, &RunLimits::default())
+                .unwrap();
+        }),
+        ("Prepared::execute", |db| {
+            db.prepare(Q1, Strategy::Unnested)
+                .unwrap()
+                .execute()
+                .unwrap();
+        }),
+        ("profile", |db| {
+            drop(db.profile(Q1, Strategy::Unnested).unwrap())
+        }),
+    ];
+    let mut runs = Vec::new();
+    for (surface, run) in surfaces {
+        let before = stats();
+        run(&mut db);
+        let after = stats();
+        runs.push((
+            surface,
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+        ));
+    }
+    assert_eq!(stats().0, 5, "{runs:?}");
+    let (_, _, rows, checkpoints) = runs[0];
+    assert!(rows > 0 && checkpoints > 0, "{runs:?}");
+    for (surface, execs, r, c) in &runs {
+        assert_eq!(
+            (*execs, *r, *c),
+            (1, rows, checkpoints),
+            "{surface}: {runs:?}"
         );
     }
-    let root = ops.iter().find(|o| o.label.starts_with("0:")).unwrap();
-    assert_eq!(root.rows, profile.rows as u64);
+}
 
-    // A second profiled run folds in as another observation.
-    db.profile(Q1, Strategy::Canonical).unwrap();
-    assert_eq!(hub.cardinalities(fp).unwrap().0, 2);
+/// `EXPLAIN` drains the unnest-outcome tally into its own database's
+/// hub: nothing it rewrote leaks into the next run on the same thread,
+/// even when that run records into another database's hub.
+#[test]
+fn explain_does_not_leak_unnest_outcomes() {
+    let hub_a = Arc::new(MetricsHub::new());
+    let hub_b = Arc::new(MetricsHub::new());
+    let db_a = rst_database(Arc::clone(&hub_a));
+    let db_b = rst_database(Arc::clone(&hub_b));
+    let chain = |hub: &MetricsHub| {
+        let labels = [("outcome", "bypass:chain")];
+        hub.snapshot()
+            .counter("bypass_unnest_outcomes_total", &labels)
+    };
+
+    db_a.explain(Q1, Strategy::Unnested).unwrap();
+    assert!(chain(&hub_a) > 0, "EXPLAIN's own rewrite is recorded");
+    db_b.sql_with(Q1, Strategy::Canonical, None).unwrap();
+    assert_eq!(chain(&hub_b), 0, "EXPLAIN's outcome leaked into hub B");
 }
 
 /// Hubs are isolated: a database built with its own hub does not leak

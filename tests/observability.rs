@@ -135,6 +135,53 @@ fn chrome_trace_export_covers_the_pipeline() {
     assert!(chrome.contains("\"ph\":\"M\""), "thread metadata present");
 }
 
+/// The cost-based choice rewrites every candidate, so it belongs to
+/// the unnest phase: under `CostBased`, every `unnest.attach` span of
+/// a run, a profile and an EXPLAIN nests inside the pipeline's
+/// `unnest` span.
+#[test]
+fn cost_based_choice_is_traced_inside_the_unnest_phase() {
+    let _gate = TRACE_GATE.lock().unwrap();
+    let db = q1_database(Strategy::CostBased);
+    bypass::trace::clear();
+    bypass::trace::set_enabled(true);
+    let runs = (
+        db.sql_with(Q1, Strategy::CostBased, None),
+        db.profile(Q1, Strategy::CostBased),
+        db.explain(Q1, Strategy::CostBased),
+    );
+    bypass::trace::set_enabled(false);
+    let mut events = bypass::trace::take_events();
+    runs.0.unwrap();
+    runs.1.unwrap();
+    runs.2.unwrap();
+
+    // Rebuild each thread's span tree: sorted by start (parents first
+    // on ties), a span's ancestors are the open spans of lower depth.
+    events.retain(|e| e.phase == 'X');
+    events.sort_by_key(|e| (e.tid, e.ts_us, e.depth));
+    let mut stack: Vec<&bypass::trace::Event> = Vec::new();
+    let mut attaches = 0;
+    for e in &events {
+        while stack
+            .last()
+            .is_some_and(|p| p.tid != e.tid || p.depth >= e.depth)
+        {
+            stack.pop();
+        }
+        if e.name == "unnest.attach" {
+            attaches += 1;
+            assert!(
+                stack.iter().any(|p| p.name == "unnest"),
+                "unnest.attach outside the unnest phase, under {:?}",
+                stack.iter().map(|p| &p.name).collect::<Vec<_>>()
+            );
+        }
+        stack.push(e);
+    }
+    assert!(attaches > 0, "the candidates attempted no attachment");
+}
+
 /// Tracing off (the default) must leave no residue: queries run with
 /// the collector disabled record nothing.
 #[test]
