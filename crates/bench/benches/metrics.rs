@@ -1,11 +1,9 @@
 //! Deterministic gate for the always-on metrics registry.
 //!
 //! No timing groups. The target runs a fixed workload (Q1/Q2/the
-//! combined query under canonical and unnested evaluation) into
-//! isolated metrics hubs at 1 and 8 workers and asserts that both fold
-//! to the *bit-identical* timing-free snapshot — the morsel replay
-//! discipline applied to telemetry. It then records the count-derived metric values under
-//! `metrics/counters/…`, so `scripts/bench.sh compare` trips if a
+//! combined query under canonical and unnested evaluation) into an
+//! isolated metrics hub and records the count-derived metric values
+//! under `metrics/counters/…`, so `scripts/bench.sh compare` trips if a
 //! refactor silently changes what the registry observes (rows,
 //! disjunct selectivities, memo traffic, governor byte model).
 
@@ -18,18 +16,13 @@ use bypass_core::{MetricsHub, RunLimits, Strategy};
 const SF: (f64, f64) = (0.05, 0.05);
 const SEED: u64 = 42;
 
-/// Run the fixed workload into a fresh hub under one executor shape.
-fn run_workload(threads: usize) -> Arc<MetricsHub> {
+/// Run the fixed workload into a fresh hub.
+fn run_workload() -> Arc<MetricsHub> {
     let hub = Arc::new(MetricsHub::new());
     let db = rst_database(SF.0, SF.1, SEED).with_metrics_hub(Arc::clone(&hub));
-    let limits = RunLimits {
-        threads: Some(threads),
-        morsel_rows: (threads > 1).then_some(16),
-        ..RunLimits::default()
-    };
     for sql in [Q1, Q2, Q_COMBINED] {
         for strategy in [Strategy::Canonical, Strategy::Unnested] {
-            db.run_governed(sql, strategy, &limits)
+            db.run_governed(sql, strategy, &RunLimits::default())
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         }
     }
@@ -37,10 +30,7 @@ fn run_workload(threads: usize) -> Arc<MetricsHub> {
 }
 
 fn bench_metrics(_c: &mut Criterion) {
-    let reference = run_workload(1);
-    let expected = reference.snapshot().deterministic();
-    let got = run_workload(8).snapshot().deterministic();
-    assert_eq!(got, expected, "deterministic snapshot differs at threads=8");
+    let expected = run_workload().snapshot().deterministic();
 
     // Gate the count-derived series in the baseline registry. Gauges
     // and counters only — `deterministic()` already stripped the

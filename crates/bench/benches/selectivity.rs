@@ -3,8 +3,7 @@
 //! `/counters/` baseline entries.
 //!
 //! No timing groups — the disjunct counters are deterministic (rank
-//! epochs are fixed row counts, stats fold worker-count- and
-//! morsel-size-independently), so they gate exactly via
+//! epochs are fixed row counts), so they gate exactly via
 //! `scripts/bench.sh compare`. Two facets of the adaptive BestD
 //! ordering (DESIGN.md §8):
 //!

@@ -53,13 +53,12 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "queries {} (skipped {})  strategy runs {}  injections {} (parallel {})  \
+        "queries {} (skipped {})  strategy runs {}  injections {}  \
          deepest plan {} checkpoints",
         report.queries,
         report.skipped_queries,
         report.strategy_runs,
         report.injections,
-        report.par_injections,
         report.max_checkpoints,
     );
     for (kind, n) in &report.by_kind {

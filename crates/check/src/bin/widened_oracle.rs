@@ -72,8 +72,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cases {}  strategy runs {}  parallel-vs-serial runs {}  nested {}",
-        report.cases, report.strategy_runs, report.par_runs, report.nested_queries
+        "cases {}  strategy runs {}  nested {}",
+        report.cases, report.strategy_runs, report.nested_queries
     );
     println!("{}", report.coverage_table());
 

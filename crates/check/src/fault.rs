@@ -62,22 +62,6 @@ pub struct FaultConfig {
     /// Grammar/instance parameters (rows, domain, NULL ratio) for
     /// [`materialize_case`].
     pub oracle: OracleConfig,
-    /// Also inject every sampled fault under the morsel-parallel
-    /// executor (4 workers, 2-row morsels) and require the identical
-    /// typed error — same kind, same checkpoint, same observed byte
-    /// count — plus the full trifecta under concurrency.
-    pub parallel: bool,
-}
-
-/// The worker-pool shape of the campaign's parallel leg: enough workers
-/// to interleave, morsels small enough that the oracle's tiny instances
-/// actually fan out.
-fn par_limits() -> RunLimits {
-    RunLimits {
-        threads: Some(4),
-        morsel_rows: Some(2),
-        ..RunLimits::default()
-    }
 }
 
 impl Default for FaultConfig {
@@ -87,7 +71,6 @@ impl Default for FaultConfig {
             seed: env_seed("BYPASS_CHECK_FAULT_SEED").unwrap_or(DEFAULT_SEED),
             strategies: Strategy::all().to_vec(),
             oracle: OracleConfig::default(),
-            parallel: true,
         }
     }
 }
@@ -104,10 +87,6 @@ pub struct FaultReport {
     pub strategy_runs: u64,
     /// Total injections that survived the trifecta.
     pub injections: u64,
-    /// Injections additionally replayed under the morsel-parallel
-    /// executor with an identical error and a clean trifecta; 0 when
-    /// the parallel leg is disabled.
-    pub par_injections: u64,
     /// Injections per fault kind (`memory` / `deadline` / `cancel`).
     pub by_kind: BTreeMap<&'static str, u64>,
     /// Largest checkpoint count observed on any clean run — how deep
@@ -203,7 +182,6 @@ fn campaign(cfg: &FaultConfig) -> Result<FaultReport, Box<FaultFailure>> {
         skipped_queries: 0,
         strategy_runs: 0,
         injections: 0,
-        par_injections: 0,
         by_kind: BTreeMap::new(),
         max_checkpoints: 0,
     };
@@ -259,43 +237,6 @@ fn campaign(cfg: &FaultConfig) -> Result<FaultReport, Box<FaultFailure>> {
             report.strategy_runs += 1;
             let n = counters.checkpoints;
             report.max_checkpoints = report.max_checkpoints.max(n);
-            if cfg.parallel {
-                // Parallel clean baseline: the morsel executor must
-                // report the identical counters — same checkpoint count
-                // N means the serial and parallel injection spaces are
-                // the same set of program points.
-                match db.run_governed(&sql, strategy, &par_limits()) {
-                    Ok((prel, pcounters)) => {
-                        if pcounters != counters {
-                            return Err(fail(
-                                strategy,
-                                0,
-                                None,
-                                format!(
-                                    "parallel baseline counters diverge: serial {counters:?}, \
-                                     parallel {pcounters:?}"
-                                ),
-                            ));
-                        }
-                        if let Some(d) = results_agree(&reference, &prel, spec.order()) {
-                            return Err(fail(
-                                strategy,
-                                0,
-                                None,
-                                format!("parallel baseline diverges: {d}"),
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        return Err(fail(
-                            strategy,
-                            0,
-                            None,
-                            format!("parallel baseline fails where serial succeeds: {e}"),
-                        ))
-                    }
-                }
-            }
             if n == 0 {
                 // Degenerate plan (empty instance) with nothing to
                 // materialize: no checkpoint to fault.
@@ -307,50 +248,10 @@ fn campaign(cfg: &FaultConfig) -> Result<FaultReport, Box<FaultFailure>> {
                 ks.sort_unstable();
                 ks.dedup();
                 for k in ks {
-                    let serial_err = inject(
-                        &db,
-                        &sql,
-                        spec.order(),
-                        &reference,
-                        strategy,
-                        k,
-                        kind,
-                        &RunLimits::default(),
-                    )
-                    .map_err(|detail| fail(strategy, k, Some(kind), detail))?;
+                    inject(&db, &sql, spec.order(), &reference, strategy, k, kind)
+                        .map_err(|detail| fail(strategy, k, Some(kind), detail))?;
                     report.injections += 1;
                     *report.by_kind.entry(kind_name(kind)).or_default() += 1;
-                    if cfg.parallel {
-                        // The same fault under the morsel executor:
-                        // full trifecta again, plus the error itself —
-                        // kind, checkpoint index, observed byte count —
-                        // must render identically to the serial one.
-                        let par_err = inject(
-                            &db,
-                            &sql,
-                            spec.order(),
-                            &reference,
-                            strategy,
-                            k,
-                            kind,
-                            &par_limits(),
-                        )
-                        .map_err(|detail| {
-                            fail(strategy, k, Some(kind), format!("parallel: {detail}"))
-                        })?;
-                        if par_err != serial_err {
-                            return Err(fail(
-                                strategy,
-                                k,
-                                Some(kind),
-                                format!(
-                                    "parallel fault error diverges from serial: \
-                                     serial `{serial_err}`, parallel `{par_err}`"
-                                ),
-                            ));
-                        }
-                        report.par_injections += 1;
-                    }
                 }
             }
         }
@@ -358,12 +259,8 @@ fn campaign(cfg: &FaultConfig) -> Result<FaultReport, Box<FaultFailure>> {
     Ok(report)
 }
 
-/// One injection: run with the fault armed on top of `base` (which
-/// selects the serial or morsel-parallel executor) and assert the
-/// trifecta. Returns the rendered injected error on success — the
-/// campaign compares the serial and parallel renderings for equality —
-/// or the violation description on failure.
-#[allow(clippy::too_many_arguments)]
+/// One injection: run with the fault armed and assert the trifecta.
+/// Returns the violation description on failure.
 fn inject(
     db: &Database,
     sql: &str,
@@ -372,11 +269,10 @@ fn inject(
     strategy: Strategy,
     checkpoint: u64,
     kind: FaultKind,
-    base: &RunLimits,
-) -> Result<String, String> {
+) -> Result<(), String> {
     let limits = RunLimits {
         fault: Some(InjectedFault::new(checkpoint, kind)),
-        ..base.clone()
+        ..RunLimits::default()
     };
     let depth_before = bypass_trace::current_depth();
 
@@ -393,7 +289,7 @@ fn inject(
             return Err(format!("panicked instead of returning Err: {msg}"));
         }
     };
-    let rendered = match result {
+    match result {
         Ok(_) => return Err("injected fault did not surface: run succeeded".to_string()),
         Err(e) => {
             let matches = match kind {
@@ -419,9 +315,8 @@ fn inject(
                     kind_name(kind)
                 ));
             }
-            e.to_string()
         }
-    };
+    }
 
     // Leg 2: the tracing span stack unwound cleanly with the error.
     let depth_after = bypass_trace::current_depth();
@@ -431,9 +326,8 @@ fn inject(
         ));
     }
 
-    // Leg 3: a clean re-run on the same Database — under the same
-    // executor shape the fault hit — reproduces canonical.
-    match db.run_governed(sql, strategy, base) {
+    // Leg 3: a clean re-run on the same Database reproduces canonical.
+    match db.run_governed(sql, strategy, &RunLimits::default()) {
         Ok((rel, _)) => {
             if let Some(d) = results_agree(reference, &rel, order) {
                 return Err(format!("post-fault re-run diverges: {d}"));
@@ -441,7 +335,7 @@ fn inject(
         }
         Err(e) => return Err(format!("post-fault re-run fails: {e}")),
     }
-    Ok(rendered)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -461,10 +355,6 @@ mod tests {
         assert_eq!(report.queries + report.skipped_queries, 3);
         if report.queries > 0 {
             assert!(report.injections > 0, "{report:?}");
-            assert_eq!(
-                report.par_injections, report.injections,
-                "every serial injection must also run under the morsel executor: {report:?}"
-            );
             for kind in ["memory", "deadline", "cancel"] {
                 assert!(
                     report.by_kind.get(kind).copied().unwrap_or(0) > 0,

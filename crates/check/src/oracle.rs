@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use bypass_core::{DataType, Database, Relation, RunLimits, Strategy, TableBuilder, Value};
+use bypass_core::{DataType, Database, Relation, Strategy, TableBuilder, Value};
 use bypass_types::Result;
 
 use crate::prop::DEFAULT_SEED;
@@ -1150,22 +1150,7 @@ pub struct OracleConfig {
     /// (`BYPASS_CHECK_FOCUS` — comma-separated — seeds the default).
     /// Focused candidates score as if their shapes were 4× rarer.
     pub focus: Vec<String>,
-    /// The parallel-vs-serial axis: additionally execute every
-    /// (case, strategy) pair serially and across the morsel worker
-    /// pool (with a tiny forced morsel size so the oracle's small
-    /// instances actually fan out) and require identical row
-    /// sequences, identical [`bypass_core::ExecCounters`] and
-    /// identical error messages.
-    pub par_axis: bool,
 }
-
-/// Worker count of the oracle's parallel-axis runs.
-const PAR_AXIS_THREADS: usize = 4;
-
-/// Forced morsel size of the parallel-axis runs: oracle instances have
-/// at most ~18 rows per table, so the production 4096-row gate would
-/// never fan out without this.
-const PAR_AXIS_MORSEL_ROWS: usize = 2;
 
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
@@ -1188,7 +1173,6 @@ impl Default for OracleConfig {
                         .collect()
                 })
                 .unwrap_or_default(),
-            par_axis: true,
         }
     }
 }
@@ -1200,10 +1184,6 @@ pub struct OracleReport {
     pub cases: u32,
     /// Total strategy executions compared against canonical.
     pub strategy_runs: u64,
-    /// Parallel-vs-serial axis executions (pairs of governed runs
-    /// compared for identical rows + counters); 0 when the axis is
-    /// disabled.
-    pub par_runs: u64,
     /// How many generated queries contained a nested block.
     pub nested_queries: u32,
     /// Coverage tag → hit count over the scheduled cases (structural
@@ -1378,7 +1358,6 @@ fn render_rows(rows: &[Vec<Value>]) -> String {
 struct CaseStats {
     nested: bool,
     strategy_runs: u64,
-    par_runs: u64,
 }
 
 /// Derive the deterministic base seed for `case` within a run. Cases
@@ -1411,7 +1390,6 @@ fn run_case(
     let mut stats = CaseStats {
         nested: sql.contains("(SELECT"),
         strategy_runs: 0,
-        par_runs: 0,
     };
     for &strategy in &cfg.strategies {
         stats.strategy_runs += 1;
@@ -1421,87 +1399,7 @@ fn run_case(
             )));
         }
     }
-    if cfg.par_axis {
-        for &strategy in &cfg.strategies {
-            stats.par_runs += 1;
-            if let Some(detail) = par_divergence(&db, &sql, strategy) {
-                // No query shrinking for this axis: the divergence is a
-                // property of the executor (serial vs morsel-parallel),
-                // not of the rewrite, and the case replays exactly from
-                // its seed.
-                let profiles = vec![profile_summary(&db, &sql, strategy)];
-                return Err(Box::new(Mismatch {
-                    case_seed: seed,
-                    case,
-                    strategy,
-                    sql: sql.clone(),
-                    fingerprint: bypass_core::fingerprint_sql(&sql).unwrap_or(0),
-                    minimized_sql: sql.clone(),
-                    detail,
-                    instance: format!(
-                        "    r: {}\n    s: {}\n    t: {}",
-                        render_rows(&r),
-                        render_rows(&s),
-                        render_rows(&t)
-                    ),
-                    profiles,
-                }));
-            }
-        }
-    }
     Ok(stats)
-}
-
-/// The parallel-vs-serial oracle axis: the same (query, strategy) pair
-/// executed at one worker and across the morsel pool (tiny forced
-/// morsel size) must produce the identical row *sequence*, identical
-/// [`bypass_core::ExecCounters`] — memo totals, governed peak bytes,
-/// checkpoint count — and, when both runs fail, the identical error.
-fn par_divergence(db: &Database, sql: &str, strategy: Strategy) -> Option<String> {
-    let serial = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(1),
-            ..RunLimits::default()
-        },
-    );
-    let parallel = db.run_governed(
-        sql,
-        strategy,
-        &RunLimits {
-            threads: Some(PAR_AXIS_THREADS),
-            morsel_rows: Some(PAR_AXIS_MORSEL_ROWS),
-            ..RunLimits::default()
-        },
-    );
-    match (serial, parallel) {
-        (Ok((sr, sc)), Ok((pr, pc))) => {
-            if sr.rows() != pr.rows() {
-                return Some(format!(
-                    "parallel({PAR_AXIS_THREADS} workers) row sequence diverges from serial: \
-                     serial {} rows, parallel {} rows",
-                    sr.len(),
-                    pr.len()
-                ));
-            }
-            if sc != pc {
-                return Some(format!(
-                    "parallel({PAR_AXIS_THREADS} workers) counters diverge from serial: \
-                     serial {sc:?}, parallel {pc:?}"
-                ));
-            }
-            None
-        }
-        (Err(se), Err(pe)) => {
-            let (se, pe) = (se.to_string(), pe.to_string());
-            (se != pe).then(|| {
-                format!("serial and parallel runs fail differently: serial `{se}`, parallel `{pe}`")
-            })
-        }
-        (Ok(_), Err(e)) => Some(format!("parallel run fails where serial succeeds: {e}")),
-        (Err(e), Ok(_)) => Some(format!("serial run fails where parallel succeeds: {e}")),
-    }
 }
 
 /// Run the differential oracle with the default executor.
@@ -1518,7 +1416,6 @@ pub fn run_differential_with(
     let mut report = OracleReport {
         cases: 0,
         strategy_runs: 0,
-        par_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
@@ -1526,7 +1423,6 @@ pub fn run_differential_with(
         let stats = run_case(cfg, exec, case as u32, seed)?;
         report.cases += 1;
         report.strategy_runs += stats.strategy_runs;
-        report.par_runs += stats.par_runs;
         if stats.nested {
             report.nested_queries += 1;
         }
@@ -1571,13 +1467,11 @@ pub fn run_differential_parallel(
     let mut report = OracleReport {
         cases: cfg.cases,
         strategy_runs: 0,
-        par_runs: 0,
         nested_queries: 0,
         coverage: schedule.coverage,
     };
     for s in &stats {
         report.strategy_runs += s.strategy_runs;
-        report.par_runs += s.par_runs;
         if s.nested {
             report.nested_queries += 1;
         }

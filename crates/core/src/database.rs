@@ -224,14 +224,6 @@ pub struct RunLimits {
     /// Cooperative cancellation token polled at every governor
     /// checkpoint.
     pub cancel: Option<CancelToken>,
-    /// Worker-pool width for morsel-driven intra-query parallelism
-    /// (overrides `BYPASS_THREADS` / the detected core count; `1`
-    /// forces serial execution).
-    pub threads: Option<usize>,
-    /// Morsel size in rows — operator loops over more rows than this
-    /// fan out. Tests force it small to exercise the parallel paths on
-    /// tiny relations.
-    pub morsel_rows: Option<usize>,
     /// Deterministic fault injection (testing): fail at exactly this
     /// governor checkpoint.
     pub fault: Option<InjectedFault>,
@@ -251,12 +243,6 @@ impl RunLimits {
         }
         if self.fault.is_some() {
             options.fault = self.fault;
-        }
-        if let Some(t) = self.threads {
-            options.threads = t;
-        }
-        if let Some(m) = self.morsel_rows {
-            options.morsel_rows = m;
         }
     }
 }
@@ -677,10 +663,9 @@ impl Database {
         self.profile_governed(sql, strategy, &RunLimits::default())
     }
 
-    /// [`Database::profile`] with per-run [`RunLimits`] overlaid on the
-    /// strategy's execution options — the entry point the
-    /// worker-count-independence tests use to force a thread count and
-    /// morsel size and compare the resulting profiles.
+    /// [`Database::profile`] with per-run [`RunLimits`] (deadline,
+    /// memory budget, cancellation, fault injection) overlaid on the
+    /// strategy's execution options.
     pub fn profile_governed(
         &self,
         sql: &str,

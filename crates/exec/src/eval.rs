@@ -3,9 +3,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bypass_types::{
-    compare_tuples, fxhash, par, tuple_bytes, Batch, CancelToken, Error, FaultKind, FxHashMap,
-    GovEvent, InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value,
-    BLOCK_ROWS, SHARED_ROW_BYTES, VALUE_BYTES,
+    compare_tuples, fxhash, tuple_bytes, Batch, CancelToken, Error, FaultKind, FxHashMap,
+    InjectedFault, Relation, ResourceKind, Result, SortKey, Truth, Tuple, Value, BLOCK_ROWS,
+    SHARED_ROW_BYTES, VALUE_BYTES,
 };
 
 use crate::agg::{create_accumulator, Accumulator, AggSpec};
@@ -53,22 +53,7 @@ pub struct ExecOptions {
     /// given kind exactly at the given governor checkpoint, regardless
     /// of real budgets. See `bypass_types::InjectedFault`.
     pub fault: Option<InjectedFault>,
-    /// Intra-query worker count for morsel-driven parallelism
-    /// (`BYPASS_THREADS`; 1 disables it). Workers run base-relation
-    /// morsels speculatively and their governor effects are replayed in
-    /// morsel order, so every counter, budget trip and injected fault
-    /// is worker-count-independent (DESIGN.md §7).
-    pub threads: usize,
-    /// Maximum rows per morsel — also the parallelism threshold: an
-    /// operator input with at most this many rows runs serially. Tests
-    /// shrink it to force tiny inputs onto the parallel path.
-    pub morsel_rows: usize,
 }
-
-/// Default morsel granularity: large enough that forking a worker
-/// governor is noise, small enough that SF 1 inputs (10k rows) split
-/// across every worker.
-pub const MORSEL_ROWS: usize = 4096;
 
 impl Default for ExecOptions {
     fn default() -> Self {
@@ -80,8 +65,6 @@ impl Default for ExecOptions {
             max_memory_bytes: None,
             cancel: None,
             fault: None,
-            threads: par::thread_count(),
-            morsel_rows: MORSEL_ROWS,
         }
     }
 }
@@ -133,9 +116,8 @@ pub struct ExecContext {
     deadline: Option<Instant>,
     /// Governor checkpoint counter: one per closed [`Meter`] block and
     /// one per one-shot [`charge`](Self::charge). Depends only on the
-    /// plan and the data — never on wall time, metrics collection or
-    /// worker threads — so fault injection at checkpoint `k` is exactly
-    /// reproducible.
+    /// plan and the data — never on wall time or metrics collection —
+    /// so fault injection at checkpoint `k` is exactly reproducible.
     checkpoints: u64,
     /// Bytes currently charged to the query under the deterministic
     /// byte model (see `bypass_types::govern`).
@@ -151,13 +133,6 @@ pub struct ExecContext {
     /// (hash-table build sizes, collision re-verifies). Only written
     /// when metrics are enabled.
     pending: PendingCounters,
-    /// Morsel workers only: the governor event log replayed on the
-    /// master context. `None` on the master.
-    gov_log: Option<Vec<GovEvent>>,
-    /// Per-node cache of the parallel-safety verdict (may this node's
-    /// expressions run on a worker without touching the memo caches?),
-    /// keyed by node pointer.
-    par_safe_cache: FxHashMap<usize, bool>,
     /// Per-node cache of compiled σ/σ± predicate chains, keyed by node
     /// pointer.
     chains: FxHashMap<usize, Arc<CompiledChain>>,
@@ -197,8 +172,8 @@ pub struct ExecCounters {
     /// σ/σ± in the query: predicate evaluations performed …
     pub disjunct_evals: u64,
     /// … and disjuncts decided (TRUE under OR / FALSE under AND).
-    /// Semantic counts — morsel-size and worker-count independent —
-    /// feeding the metrics registry's selectivity counters.
+    /// Semantic counts feeding the metrics registry's selectivity
+    /// counters.
     pub disjunct_hits: u64,
 }
 
@@ -224,8 +199,7 @@ struct PendingCounters {
 
 /// Per-disjunct counters of a chained filter predicate: how many rows
 /// reached the disjunct (were evaluated against it) and how many it
-/// decided (TRUE under OR, FALSE under AND). Semantic counts — morsel
-/// size and worker count independent.
+/// decided (TRUE under OR, FALSE under AND).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DisjunctMetrics {
     pub evals: u64,
@@ -330,30 +304,16 @@ const MEMO_ENTRY_BYTES: u64 = 64;
 /// `[k·BLOCK_ROWS, (k+1)·BLOCK_ROWS)`. The meter sums the net bytes the
 /// block charges (minus any scratch it frees again) and passes exactly
 /// one governor checkpoint when the block ends; the partial last block
-/// closes in [`Meter::finish`]. Block indices are absolute within the
-/// operator input, so checkpoint indices and byte totals never depend
-/// on how morsels split the input.
+/// closes in [`Meter::finish`].
 #[derive(Debug, Default)]
 struct Meter {
-    /// Absolute index of the next unit.
+    /// Index of the next unit.
     unit: u64,
     /// Net bytes of the open block.
     bytes: i64,
-    /// Morsel workers only: the event-log index of this meter's first
-    /// checkpoint — where the master adds the carry of the morsels
-    /// before it.
-    first_event: Option<usize>,
 }
 
 impl Meter {
-    /// A meter whose first unit has absolute index `unit`.
-    fn at(unit: u64) -> Meter {
-        Meter {
-            unit,
-            ..Meter::default()
-        }
-    }
-
     /// Add `bytes` of materialized state to the open block.
     #[inline]
     fn charge(&mut self, bytes: u64) {
@@ -387,9 +347,6 @@ impl Meter {
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if self.first_event.is_none() {
-            self.first_event = ctx.gov_log.as_ref().map(Vec::len);
-        }
         ctx.checkpoint(std::mem::take(&mut self.bytes))
     }
 
@@ -401,97 +358,6 @@ impl Meter {
         }
         Ok(())
     }
-}
-
-/// Split the absolute input range `range` at block boundaries.
-fn block_ranges(range: std::ops::Range<usize>) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let mut start = range.start;
-    std::iter::from_fn(move || {
-        (start < range.end).then(|| {
-            let end = range.end.min((start / BLOCK_ROWS + 1) * BLOCK_ROWS);
-            let block = start..end;
-            start = end;
-            block
-        })
-    })
-}
-
-/// Everything a morsel worker hands back to the master for the in-order
-/// merge.
-struct MorselOut<P> {
-    /// The worker's governor events, replayed in order.
-    events: Vec<GovEvent>,
-    /// Index in `events` of the morsel meter's first checkpoint; the
-    /// master adds its carry there. `None` when the morsel closed no
-    /// block.
-    first_block: Option<usize>,
-    /// Net bytes of the block the morsel ended inside, handed on to the
-    /// next block checkpoint.
-    carry: i64,
-    metrics: Option<HashMap<usize, NodeMetrics>>,
-    pending: PendingCounters,
-    /// Inclusive nanos of nested-plan evaluations inside worker
-    /// expressions; billed to the master's current metrics frame, as a
-    /// serial run would have.
-    child_nanos: u128,
-    /// Worker memo counters — must be all zero (debug-asserted): the
-    /// safety gate keeps memoized subqueries off workers.
-    memo_counters: ExecCounters,
-    payload: Result<P>,
-    /// Morsel was skipped because a lower-index morsel already failed;
-    /// the merge loop never reaches it.
-    skipped: bool,
-}
-
-impl<P> MorselOut<P> {
-    fn skipped() -> MorselOut<P> {
-        MorselOut {
-            events: Vec::new(),
-            first_block: None,
-            carry: 0,
-            metrics: None,
-            pending: PendingCounters::default(),
-            child_nanos: 0,
-            memo_counters: ExecCounters::default(),
-            payload: Err(Error::execution(
-                "morsel skipped after an earlier morsel failed",
-            )),
-            skipped: true,
-        }
-    }
-}
-
-/// Concatenate per-morsel row buffers in morsel (= input) order. The
-/// single-part case is the serial path: the buffer is moved, not
-/// copied.
-fn concat_rows(mut parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
-    if parts.len() == 1 {
-        return parts.pop().unwrap();
-    }
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Concatenate per-morsel dual-stream (pos, neg) buffers in morsel
-/// order: both streams preserve the serial emission order.
-fn concat_dual(mut parts: Vec<(Vec<Tuple>, Vec<Tuple>)>) -> (Vec<Tuple>, Vec<Tuple>) {
-    if parts.len() == 1 {
-        return parts.pop().unwrap();
-    }
-    let (pt, nt) = parts
-        .iter()
-        .fold((0, 0), |(p, n), (pv, nv)| (p + pv.len(), n + nv.len()));
-    let mut pos = Vec::with_capacity(pt);
-    let mut neg = Vec::with_capacity(nt);
-    for (p, n) in parts {
-        pos.extend(p);
-        neg.extend(n);
-    }
-    (pos, neg)
 }
 
 /// Output of a bypass operator: both streams.
@@ -554,8 +420,8 @@ impl JoinHashTable {
 
     /// Build-relation row ids whose key equals `key` (hash precomputed).
     /// Collision re-verifies are counted into `reverify`, a caller-local
-    /// accumulator — the table itself stays immutable (and therefore
-    /// `Sync`) during the probe phase, so morsel workers can share it.
+    /// accumulator, so the table stays borrowed immutably while the
+    /// probe loop evaluates residuals on the context.
     fn probe<'a>(
         &'a self,
         hash: u64,
@@ -577,12 +443,7 @@ impl JoinHashTable {
     }
 }
 
-/// Phase-1 output of the parallel aggregate for one row: group key, its
-/// precomputed hash, and the evaluated aggregate arguments.
-type AggEntry = (Vec<Value>, u64, Vec<Option<Value>>);
-
-/// The group arena of a hash aggregate, shared by the serial and the
-/// parallel path. Groups live in flat arenas in first-appearance order
+/// The group arena of a hash aggregate. Groups live in flat arenas in first-appearance order
 /// (the deterministic output order): group `g`'s key occupies
 /// `keys[g*width..]` and its accumulators `accs[g*naggs..]`, so a new
 /// group costs zero per-group heap allocations (amortized arena growth
@@ -701,8 +562,6 @@ impl ExecContext {
             peak_bytes: 0,
             counters: ExecCounters::default(),
             pending: PendingCounters::default(),
-            gov_log: None,
-            par_safe_cache: FxHashMap::default(),
             chains: FxHashMap::default(),
             batches: FxHashMap::default(),
         }
@@ -734,9 +593,6 @@ impl ExecContext {
     /// cancel token, and read the clock when a deadline is set. The
     /// checkpoint *index* depends only on plan + data, never on timing.
     fn checkpoint(&mut self, delta: i64) -> Result<()> {
-        if let Some(log) = &mut self.gov_log {
-            log.push(GovEvent::Checkpoint(delta));
-        }
         self.used_bytes = self.used_bytes.saturating_add_signed(delta);
         self.peak_bytes = self.peak_bytes.max(self.used_bytes);
         if let Some(cap) = self.options.max_memory_bytes {
@@ -815,9 +671,6 @@ impl ExecContext {
     /// Releases are not checkpoints — nothing can fail while freeing.
     #[inline]
     fn release(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.gov_log {
-            log.push(GovEvent::Release(bytes));
-        }
         self.used_bytes = self.used_bytes.saturating_sub(bytes);
     }
 
@@ -832,285 +685,6 @@ impl ExecContext {
             )),
             _ => Ok(()),
         }
-    }
-
-    // ----- morsel-driven parallelism -----------------------------------
-    //
-    // An operator arm that loops over one input relation can hand that
-    // loop to `run_morsels`: the serial path runs the loop body over
-    // the full range on `self`, the parallel path splits the range into
-    // fixed-size morsels executed by scoped workers on *forked*
-    // contexts. Workers are speculative — their governor starts at zero
-    // bytes and they never see the fault plan — and their event logs
-    // are replayed on the master in morsel order. Blocks are absolute
-    // within the operator input, so a morsel may end inside one: it
-    // hands the block's partial bytes to the master as a *carry*, which
-    // the master adds into the next block checkpoint. Every
-    // determinism invariant thus holds by construction: checkpoint
-    // indices, peak/used bytes, memory-budget trip points and
-    // injected-fault landing sites are identical to a serial run,
-    // regardless of the worker count or morsel size.
-
-    /// May this node's expressions run on a worker? True iff no
-    /// subquery inside them would probe a memo cache (workers hold
-    /// empty memos; a worker-side probe would skew the hit/miss
-    /// counters and duplicate memoized work).
-    fn par_safe_node(&mut self, node: &Arc<PhysNode>) -> bool {
-        let ptr = Arc::as_ptr(node) as usize;
-        if let Some(&v) = self.par_safe_cache.get(&ptr) {
-            return v;
-        }
-        let v = node.exprs().into_iter().all(|e| self.expr_par_safe(e));
-        self.par_safe_cache.insert(ptr, v);
-        v
-    }
-
-    /// Recursive worker-safety check: a subquery whose memo is enabled
-    /// (uncorrelated + `memo_uncorrelated`, or correlated with keys +
-    /// `memo_correlated`) pins the operator to the master; all other
-    /// subqueries re-evaluate per row anyway (`run_nested` touches no
-    /// shared state), so their nested plans are checked recursively.
-    fn expr_par_safe(&self, e: &PhysExpr) -> bool {
-        let sub_safe = |plan: &Arc<PhysNode>, correlated: bool, outer_keys: &[usize]| {
-            let memoized = if correlated {
-                self.options.memo_correlated && !outer_keys.is_empty()
-            } else {
-                self.options.memo_uncorrelated
-            };
-            !memoized && self.plan_par_safe(plan)
-        };
-        match e {
-            PhysExpr::Column(_) | PhysExpr::Outer { .. } | PhysExpr::Literal(_) => true,
-            PhysExpr::Binary { left, right, .. } => {
-                self.expr_par_safe(left) && self.expr_par_safe(right)
-            }
-            PhysExpr::Not(x) | PhysExpr::Neg(x) => self.expr_par_safe(x),
-            PhysExpr::IsNull { expr, .. } => self.expr_par_safe(expr),
-            PhysExpr::Like { expr, pattern, .. } => {
-                self.expr_par_safe(expr) && self.expr_par_safe(pattern)
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                self.expr_par_safe(expr) && list.iter().all(|i| self.expr_par_safe(i))
-            }
-            PhysExpr::Subquery {
-                plan,
-                correlated,
-                outer_keys,
-            }
-            | PhysExpr::Exists {
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            } => sub_safe(plan, *correlated, outer_keys),
-            PhysExpr::InSubquery {
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            }
-            | PhysExpr::QuantifiedCmp {
-                expr,
-                plan,
-                correlated,
-                outer_keys,
-                ..
-            } => self.expr_par_safe(expr) && sub_safe(plan, *correlated, outer_keys),
-        }
-    }
-
-    /// Worker-safety over a whole nested plan: every node's expressions.
-    fn plan_par_safe(&self, node: &Arc<PhysNode>) -> bool {
-        node.exprs().into_iter().all(|e| self.expr_par_safe(e))
-            && node.children().into_iter().all(|c| self.plan_par_safe(c))
-    }
-
-    /// Should this operator's loop over `total` input rows fan out?
-    fn morsel_gate(&mut self, node: &Arc<PhysNode>, total: usize) -> bool {
-        self.options.threads > 1 && total > self.options.morsel_rows && self.par_safe_node(node)
-    }
-
-    /// Fork a worker context for one morsel: the options a worker runs
-    /// under (no fault plan — faults fire during replay on the master,
-    /// at the exact global checkpoint — and no nested fan-out; the byte
-    /// cap stays on as a speculative early abort, since a worker's
-    /// relative `used` never exceeds the master's at the same
-    /// checkpoint), the same outer-binding stack (refcount bumps), fresh
-    /// memo maps that the safety gate guarantees stay untouched, a
-    /// zeroed governor and an empty event log.
-    fn fork_worker(&self) -> ExecContext {
-        let mut options = self.options.clone();
-        options.fault = None;
-        options.threads = 1;
-        ExecContext {
-            options,
-            metrics: self.metrics.is_some().then(HashMap::new),
-            // One sentinel frame so nested-plan evaluations inside
-            // worker expressions have a parent to bill their inclusive
-            // time to; folded into the master's current frame on merge.
-            child_nanos: vec![0],
-            outer: self.outer.clone(),
-            uncorr: FxHashMap::default(),
-            corr: FxHashMap::default(),
-            deadline: self.deadline,
-            checkpoints: 0,
-            used_bytes: 0,
-            peak_bytes: 0,
-            counters: ExecCounters::default(),
-            pending: PendingCounters::default(),
-            gov_log: Some(Vec::new()),
-            par_safe_cache: FxHashMap::default(),
-            // Workers never compile chains or transpose batches: the
-            // master resolves the chain, epoch order and cached batch
-            // before fanning out and passes them into the morsel body
-            // by reference.
-            chains: FxHashMap::default(),
-            batches: FxHashMap::default(),
-        }
-    }
-
-    /// Drive one operator loop over `total` input rows, either serially
-    /// (the body runs on `self` over the full range) or across the
-    /// worker pool in fixed-size morsels. Each input row is `units`
-    /// governor units (1, or the right side's length for nested-loop
-    /// joins); the body steps the [`Meter`] it is handed once per unit
-    /// and charges its bytes there. Returns the per-morsel payloads in
-    /// input order; the caller concatenates.
-    fn run_morsels<P, F>(
-        &mut self,
-        node: &Arc<PhysNode>,
-        total: usize,
-        units: u64,
-        body: F,
-    ) -> Result<Vec<P>>
-    where
-        P: Send,
-        F: Fn(&mut ExecContext, std::ops::Range<usize>, &mut Meter) -> Result<P> + Sync,
-    {
-        if !self.morsel_gate(node, total) {
-            let mut meter = Meter::default();
-            let payload = body(self, 0..total, &mut meter)?;
-            meter.finish(self)?;
-            return Ok(vec![payload]);
-        }
-        let threads = self.options.threads;
-        // Aim for ~4 morsels per worker (pull-based balancing without
-        // tiny fragments), capped at the configured morsel size.
-        let chunk = (total / (threads * 4)).clamp(1, self.options.morsel_rows);
-        let ranges: Vec<std::ops::Range<usize>> = (0..total)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(total))
-            .collect();
-        // Lowest-index failure wins; later morsels bail out early.
-        let stop = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let outs: Vec<MorselOut<P>> = par::scoped_map(&ranges, threads, |idx, range| {
-            use std::sync::atomic::Ordering;
-            if stop.load(Ordering::Relaxed) < idx {
-                return MorselOut::skipped();
-            }
-            let mut w = self.fork_worker();
-            let mut meter = Meter::at(range.start as u64 * units);
-            let _span = bypass_trace::span("exec.morsel");
-            let payload = body(&mut w, range.clone(), &mut meter);
-            if payload.is_err() {
-                stop.fetch_min(idx, Ordering::Relaxed);
-            }
-            w.into_morsel_out(payload, meter)
-        });
-        // In-order merge: governor effects first (authoritative errors
-        // — budget trips and injected faults — surface here at their
-        // exact serial checkpoint), then the payload.
-        let mut carry = 0i64;
-        let mut payloads = Vec::with_capacity(outs.len());
-        for out in outs {
-            debug_assert!(
-                out.skipped
-                    || (out.memo_counters.memo_uncorr_hits
-                        | out.memo_counters.memo_uncorr_misses
-                        | out.memo_counters.memo_corr_hits
-                        | out.memo_counters.memo_corr_misses)
-                        == 0,
-                "morsel worker probed a memo cache despite the safety gate"
-            );
-            for (i, ev) in out.events.into_iter().enumerate() {
-                match ev {
-                    GovEvent::Checkpoint(delta) if out.first_block == Some(i) => {
-                        self.checkpoint(delta + std::mem::take(&mut carry))?
-                    }
-                    GovEvent::Checkpoint(delta) => self.checkpoint(delta)?,
-                    GovEvent::Release(b) => self.release(b),
-                }
-            }
-            carry += out.carry;
-            let p = out.payload?;
-            if let (Some(master), Some(worker)) = (self.metrics.as_mut(), out.metrics) {
-                for (ptr, wm) in worker {
-                    let m = master.entry(ptr).or_default();
-                    m.calls += wm.calls;
-                    m.rows += wm.rows;
-                    m.nanos += wm.nanos;
-                    m.self_nanos += wm.self_nanos;
-                    m.pos_rows += wm.pos_rows;
-                    m.neg_rows += wm.neg_rows;
-                    m.rows_shared += wm.rows_shared;
-                    m.rows_materialized += wm.rows_materialized;
-                    m.build_rows += wm.build_rows;
-                    m.reverify += wm.reverify;
-                    merge_disjuncts(&mut m.disjuncts, &wm.disjuncts);
-                }
-            }
-            self.pending.build_rows += out.pending.build_rows;
-            self.pending.reverify += out.pending.reverify;
-            merge_disjuncts(&mut self.pending.disjuncts, &out.pending.disjuncts);
-            // Workers never probe memo caches (asserted above), but a
-            // nested non-memoized subplan evaluated on a worker may
-            // contain its own disjunctive chain; its semantic totals
-            // fold back commutatively, keeping the counters
-            // worker-count independent.
-            self.counters.disjunct_evals += out.memo_counters.disjunct_evals;
-            self.counters.disjunct_hits += out.memo_counters.disjunct_hits;
-            if let Some(frame) = self.child_nanos.last_mut() {
-                *frame += out.child_nanos;
-            }
-            payloads.push(p);
-        }
-        let last = Meter {
-            unit: total as u64 * units,
-            bytes: carry,
-            first_event: None,
-        };
-        last.finish(self)?;
-        Ok(payloads)
-    }
-
-    /// Tear a worker down into its mergeable parts.
-    fn into_morsel_out<P>(self, payload: Result<P>, meter: Meter) -> MorselOut<P> {
-        MorselOut {
-            events: self.gov_log.unwrap_or_default(),
-            first_block: meter.first_event,
-            carry: meter.bytes,
-            metrics: self.metrics,
-            pending: self.pending,
-            child_nanos: self.child_nanos.first().copied().unwrap_or(0),
-            memo_counters: self.counters,
-            payload,
-            skipped: false,
-        }
-    }
-
-    /// Concatenate morsel outputs, re-applying the intermediate-size
-    /// guard over the merged total when the loop actually fanned out
-    /// (each morsel only guarded its local buffer). The serial path —
-    /// exactly one part — keeps the pre-parallel guard sequence
-    /// unchanged.
-    fn concat_checked(&self, parts: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
-        let fanned_out = parts.len() > 1;
-        let out = concat_rows(parts);
-        if fanned_out {
-            self.check_size(out.len())?;
-        }
-        Ok(out)
     }
 
     // -----------------------------------------------------------------
@@ -1155,14 +729,19 @@ impl ExecContext {
     }
 
     /// Drive the predicate of a σ (`bypass == false`, negative stream
-    /// unused) or σ± (`bypass == true`) as a chain over the input rows.
+    /// unused) or σ± (`bypass == true`) as a chain over the input rows,
+    /// one [`BLOCK_ROWS`] block at a time.
     ///
-    /// Adaptive chains advance in [`BLOCK_ROWS`] epochs: the term order
-    /// is frozen per epoch from the cumulative reach/decide stats, each
-    /// epoch fans out over `run_morsels` (stats ride back as morsel
-    /// payloads and fold commutatively), and the rank is recomputed at
-    /// the epoch boundary. Non-adaptive chains (nothing to reorder) run
-    /// as one full-input `run_morsels` call.
+    /// Adaptive chains re-rank their term order at every block boundary
+    /// from the cumulative reach/decide stats; non-adaptive chains
+    /// (nothing to reorder) keep their initial order. With a `batch`
+    /// (the node's cached kernel-column transpose of the input) each
+    /// block first runs the order's *kernel prefix* columnar-ly over a
+    /// shrinking selection vector — kernels are infallible, effect-free
+    /// and governor-invisible; the remaining terms then run per row, in
+    /// input order. Each block charges its shared-row pushes (σ: kept
+    /// rows; σ±: every row, as the split is a refcount bump) at its one
+    /// checkpoint.
     ///
     /// When an outer reference of the chain does not bind under the
     /// current stack, every term runs per row in syntactic order, so
@@ -1179,110 +758,33 @@ impl ExecContext {
         let bound = chain_bindable(&chain, &self.outer);
         let batch =
             (bound && !chain.cols.is_empty()).then(|| self.chain_batch(node, input, &chain));
-        let batch_ref: Option<&Batch> = batch.as_deref();
+        let adaptive = chain.adaptive && bound;
         let rows = input.rows();
         let mut stats = ChainStats::zeroed(&chain);
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        let epoch = if chain.adaptive && bound {
-            BLOCK_ROWS
-        } else {
-            rows.len().max(1)
-        };
-        let chain_ref: &CompiledChain = &chain;
-        let mut start = 0;
-        while start < rows.len() {
-            let end = rows.len().min(start + epoch);
-            // Unbound chains run once, in syntactic order: the order of
-            // terms never observed to decide.
-            let order = if bound {
-                ranked_order(chain_ref, &stats)
-            } else {
-                ranked_order(chain_ref, &ChainStats::zeroed(chain_ref))
-            };
-            let slice = &rows[start..end];
-            let parts = self.run_morsels(node, slice.len(), 1, |ctx, range, meter| {
-                let base = start + range.start;
-                ctx.chain_slice(
-                    chain_ref,
-                    &order,
-                    &slice[range],
-                    batch_ref,
-                    base,
-                    bypass,
-                    meter,
-                )
-            })?;
-            for ((p, n), st) in parts {
-                pos.extend(p);
-                neg.extend(n);
-                stats.fold(&st);
-            }
-            start = end;
-        }
-        // Surface per-disjunct selectivities in EXPLAIN ANALYZE and in
-        // the always-on counter totals; a single-term chain is plain
-        // vectorization, not a disjunction, and keeps its metrics
-        // block unchanged. Folded on the master thread only (workers
-        // return stats as morsel payloads), preserving the
-        // workers-never-touch-counters invariant.
-        if chain.terms.len() >= 2 {
-            self.counters.disjunct_evals += stats.reach.iter().sum::<u64>();
-            self.counters.disjunct_hits += stats.decide.iter().sum::<u64>();
-            if self.metrics.is_some() {
-                let top: Vec<DisjunctMetrics> = stats
-                    .reach
-                    .iter()
-                    .zip(&stats.decide)
-                    .map(|(&evals, &hits)| DisjunctMetrics { evals, hits })
-                    .collect();
-                merge_disjuncts(&mut self.pending.disjuncts, &top);
-            }
-        }
-        Ok((pos, neg))
-    }
-
-    /// Evaluate one morsel's rows through the chain under a frozen
-    /// order, one block at a time. With a `batch` (the node's cached
-    /// kernel-column transpose of the *full* input) the order's *kernel
-    /// prefix* first runs columnar-ly over a shrinking selection vector
-    /// — kernels are infallible, effect-free and governor-invisible;
-    /// the remaining terms then run per row, in input order. Each block
-    /// charges its shared-row pushes (σ: kept rows; σ±: every row, as
-    /// the split is a refcount bump) at its one checkpoint. `base` is
-    /// the absolute index of `rows[0]`, so selection vectors carry
-    /// absolute lane indices.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn chain_slice(
-        &mut self,
-        chain: &CompiledChain,
-        order: &ChainOrder,
-        rows: &[Tuple],
-        batch: Option<&Batch>,
-        base: usize,
-        bypass: bool,
-        meter: &mut Meter,
-    ) -> Result<((Vec<Tuple>, Vec<Tuple>), ChainStats)> {
-        let mut stats = ChainStats::zeroed(chain);
+        // Unbound chains keep the order of zeroed stats: syntactic.
+        let mut order = ranked_order(&chain, &stats);
         let mut pos = Vec::new();
         let mut neg = Vec::new();
         let decide = chain.decide();
         // Per-block scratch, reused across blocks (allocation-free
-        // steady state). `sel` holds absolute lane indices and is
+        // steady state). `sel` holds lane indices into `batch` and is
         // filtered in place per kernel term.
         let mut acc: Vec<Truth> = Vec::new();
         let mut decided: Vec<bool> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        for block in block_ranges(base..base + rows.len()) {
-            let n = block.len();
-            let chunk = &rows[block.start - base..block.end - base];
-            let abs0 = block.start as u32;
+        let mut meter = Meter::default();
+        for (b, chunk) in rows.chunks(BLOCK_ROWS).enumerate() {
+            if adaptive && b > 0 {
+                order = ranked_order(&chain, &stats);
+            }
+            let n = chunk.len();
+            let abs0 = (b * BLOCK_ROWS) as u32;
             acc.clear();
             acc.resize(n, chain.identity());
             decided.clear();
             decided.resize(n, false);
             let mut prefix = 0usize;
-            if let Some(batch) = batch {
+            if let Some(batch) = batch.as_deref() {
                 sel.clear();
                 sel.extend(abs0..abs0 + n as u32);
                 for &oi in &order.order {
@@ -1342,7 +844,7 @@ impl ExecContext {
                 } else if fully_kerneled {
                     acc[r]
                 } else {
-                    self.chain_eval_row(chain, order, &mut stats, t, prefix, acc[r])?
+                    self.chain_eval_row(&chain, &order, &mut stats, t, prefix, acc[r])?
                 };
                 if truth.is_true() {
                     pos.push(t.clone());
@@ -1354,7 +856,25 @@ impl ExecContext {
             meter.charge(shared as u64 * SHARED_ROW_BYTES);
             meter.advance(self, n as u64)?;
         }
-        Ok(((pos, neg), stats))
+        meter.finish(self)?;
+        // Surface per-disjunct selectivities in EXPLAIN ANALYZE and in
+        // the always-on counter totals; a single-term chain is plain
+        // vectorization, not a disjunction, and keeps its metrics
+        // block unchanged.
+        if chain.terms.len() >= 2 {
+            self.counters.disjunct_evals += stats.reach.iter().sum::<u64>();
+            self.counters.disjunct_hits += stats.decide.iter().sum::<u64>();
+            if self.metrics.is_some() {
+                let top: Vec<DisjunctMetrics> = stats
+                    .reach
+                    .iter()
+                    .zip(&stats.decide)
+                    .map(|(&evals, &hits)| DisjunctMetrics { evals, hits })
+                    .collect();
+                merge_disjuncts(&mut self.pending.disjuncts, &top);
+            }
+        }
+        Ok((pos, neg))
     }
 
     /// Evaluate the chain's terms for one row, in the frozen order,
@@ -1460,41 +980,31 @@ impl ExecContext {
                         self.charge_shared_rows(input.len())?;
                         return Ok(Arc::new(Relation::new(schema, input.rows().to_vec())));
                     }
-                    let rows = input.rows();
-                    let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
-                        let mut out = Vec::with_capacity(range.len());
-                        // Vectorized Π: transpose each block and build
-                        // its output tuples column-wise. The batch is
-                        // uncharged scratch.
-                        for block in block_ranges(range) {
-                            let n = block.len() as u64;
-                            let batch = Batch::from_rows_cols(&rows[block], &cols);
-                            for p in batch.project_rows(&cols) {
-                                meter.charge(tuple_bytes(&p));
-                                out.push(p);
-                            }
-                            meter.advance(ctx, n)?;
-                        }
-                        Ok(out)
-                    })?;
-                    return Ok(Arc::new(Relation::new(schema, concat_rows(parts))));
-                }
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for t in &rows[range] {
-                        let mut vals = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            vals.push(ctx.eval_expr(e, t)?);
-                        }
-                        let row = Tuple::new(vals);
+                    let mut out = Vec::with_capacity(input.len());
+                    let mut meter = Meter::default();
+                    for t in input.rows() {
+                        let row = t.project(&cols);
                         meter.charge(tuple_bytes(&row));
                         out.push(row);
-                        meter.step(ctx)?;
+                        meter.step(self)?;
                     }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                    meter.finish(self)?;
+                    return Ok(Arc::new(Relation::new(schema, out)));
+                }
+                let mut out = Vec::with_capacity(input.len());
+                let mut meter = Meter::default();
+                for t in input.rows() {
+                    let mut vals = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        vals.push(self.eval_expr(e, t)?);
+                    }
+                    let row = Tuple::new(vals);
+                    meter.charge(tuple_bytes(&row));
+                    out.push(row);
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
+                Relation::new(schema, out)
             }
             PhysKind::NLJoin {
                 left,
@@ -1503,27 +1013,24 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let pairs = r.len() as u64;
-                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
-                    let mut out = Vec::new();
-                    for lt in &l.rows()[range] {
-                        ctx.check_size(out.len())?;
-                        for rt in r.rows() {
-                            let joined = lt.concat(rt);
-                            let keep = match predicate {
-                                None => true,
-                                Some(p) => ctx.eval_truth(p, &joined)?.is_true(),
-                            };
-                            if keep {
-                                meter.charge(tuple_bytes(&joined));
-                                out.push(joined);
-                            }
-                            meter.step(ctx)?;
+                let mut out = Vec::new();
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    self.check_size(out.len())?;
+                    for rt in r.rows() {
+                        let joined = lt.concat(rt);
+                        let keep = match predicate {
+                            None => true,
+                            Some(p) => self.eval_truth(p, &joined)?.is_true(),
+                        };
+                        if keep {
+                            meter.charge(tuple_bytes(&joined));
+                            out.push(joined);
                         }
+                        meter.step(self)?;
                     }
-                    Ok(out)
-                })?;
-                let out = self.concat_checked(parts)?;
+                }
+                meter.finish(self)?;
                 Relation::new(schema, out)
             }
             PhysKind::HashJoin {
@@ -1535,40 +1042,34 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                // Build stays on the master (charge order is
-                // insertion order); the immutable table is shared by
-                // the probe morsels.
                 let table = self.build_hash_table(&r, right_keys)?;
-                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::new();
-                    let mut probe = Vec::with_capacity(left_keys.len());
-                    let mut reverify = 0u64;
-                    for lt in &l.rows()[range] {
-                        if let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? {
-                            for ri in table.probe(hash, &probe, &mut reverify) {
-                                let joined = lt.concat(&r.rows()[ri]);
-                                if let Some(p) = residual {
-                                    if !ctx.eval_truth(p, &joined)?.is_true() {
-                                        continue;
-                                    }
+                let mut out = Vec::new();
+                let mut probe = Vec::with_capacity(left_keys.len());
+                let mut reverify = 0u64;
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    if let Some(hash) = self.eval_key_into(left_keys, lt, &mut probe)? {
+                        for ri in table.probe(hash, &probe, &mut reverify) {
+                            let joined = lt.concat(&r.rows()[ri]);
+                            if let Some(p) = residual {
+                                if !self.eval_truth(p, &joined)?.is_true() {
+                                    continue;
                                 }
-                                meter.charge(tuple_bytes(&joined));
-                                out.push(joined);
                             }
-                        } // NULL keys never match
-                        meter.step(ctx)?;
-                    }
-                    if ctx.metrics.is_some() {
-                        ctx.pending.reverify += reverify;
-                    }
-                    Ok(out)
-                })?;
+                            meter.charge(tuple_bytes(&joined));
+                            out.push(joined);
+                        }
+                    } // NULL keys never match
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
                 if self.metrics.is_some() {
+                    self.pending.reverify += reverify;
                     self.pending.build_rows += table.row_ids.len() as u64;
                 }
                 // The key arena dies with the table at end of arm.
                 self.release(table.charged);
-                Relation::new(schema, concat_rows(parts))
+                Relation::new(schema, out)
             }
             PhysKind::HashOuterJoin {
                 left,
@@ -1582,42 +1083,39 @@ impl ExecContext {
                 let r = self.eval_node(right, local)?;
                 let table = self.build_hash_table(&r, right_keys)?;
                 let pad = padded_right(r.schema().arity(), defaults);
-                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::new();
-                    let mut probe = Vec::with_capacity(left_keys.len());
-                    let mut reverify = 0u64;
-                    for lt in &l.rows()[range] {
-                        let mut matched = false;
-                        if let Some(hash) = ctx.eval_key_into(left_keys, lt, &mut probe)? {
-                            for ri in table.probe(hash, &probe, &mut reverify) {
-                                let joined = lt.concat(&r.rows()[ri]);
-                                if let Some(p) = residual {
-                                    if !ctx.eval_truth(p, &joined)?.is_true() {
-                                        continue;
-                                    }
+                let mut out = Vec::new();
+                let mut probe = Vec::with_capacity(left_keys.len());
+                let mut reverify = 0u64;
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    let mut matched = false;
+                    if let Some(hash) = self.eval_key_into(left_keys, lt, &mut probe)? {
+                        for ri in table.probe(hash, &probe, &mut reverify) {
+                            let joined = lt.concat(&r.rows()[ri]);
+                            if let Some(p) = residual {
+                                if !self.eval_truth(p, &joined)?.is_true() {
+                                    continue;
                                 }
-                                matched = true;
-                                meter.charge(tuple_bytes(&joined));
-                                out.push(joined);
                             }
+                            matched = true;
+                            meter.charge(tuple_bytes(&joined));
+                            out.push(joined);
                         }
-                        if !matched {
-                            let padded = lt.concat(&pad);
-                            meter.charge(tuple_bytes(&padded));
-                            out.push(padded);
-                        }
-                        meter.step(ctx)?;
                     }
-                    if ctx.metrics.is_some() {
-                        ctx.pending.reverify += reverify;
+                    if !matched {
+                        let padded = lt.concat(&pad);
+                        meter.charge(tuple_bytes(&padded));
+                        out.push(padded);
                     }
-                    Ok(out)
-                })?;
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
                 if self.metrics.is_some() {
+                    self.pending.reverify += reverify;
                     self.pending.build_rows += table.row_ids.len() as u64;
                 }
                 self.release(table.charged);
-                Relation::new(schema, concat_rows(parts))
+                Relation::new(schema, out)
             }
             PhysKind::NLOuterJoin {
                 left,
@@ -1628,33 +1126,31 @@ impl ExecContext {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
                 let pad = padded_right(r.schema().arity(), defaults);
-                let pairs = r.len() as u64;
-                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
-                    let mut out = Vec::new();
-                    for lt in &l.rows()[range] {
-                        let mut matched = false;
-                        for rt in r.rows() {
-                            let joined = lt.concat(rt);
-                            if ctx.eval_truth(predicate, &joined)?.is_true() {
-                                matched = true;
-                                meter.charge(tuple_bytes(&joined));
-                                out.push(joined);
-                            }
-                            meter.step(ctx)?;
+                let mut out = Vec::new();
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    let mut matched = false;
+                    for rt in r.rows() {
+                        let joined = lt.concat(rt);
+                        if self.eval_truth(predicate, &joined)?.is_true() {
+                            matched = true;
+                            meter.charge(tuple_bytes(&joined));
+                            out.push(joined);
                         }
-                        if !matched {
-                            let padded = lt.concat(&pad);
-                            meter.charge(tuple_bytes(&padded));
-                            out.push(padded);
-                        }
+                        meter.step(self)?;
                     }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                    if !matched {
+                        let padded = lt.concat(&pad);
+                        meter.charge(tuple_bytes(&padded));
+                        out.push(padded);
+                    }
+                }
+                meter.finish(self)?;
+                Relation::new(schema, out)
             }
             PhysKind::HashAggregate { input, keys, aggs } => {
                 let input = self.eval_node(input, local)?;
-                self.hash_aggregate(node, &input, keys, aggs, schema)?
+                self.hash_aggregate(&input, keys, aggs, schema)?
             }
             PhysKind::BinaryGroupEq {
                 left,
@@ -1696,24 +1192,23 @@ impl ExecContext {
                     .map(|(k, acc)| Ok((k, acc.finish()?)))
                     .collect::<Result<_>>()?;
                 let empty = create_accumulator(agg).finish()?;
-                let parts = self.run_morsels(node, l.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for lt in &l.rows()[range] {
-                        let k = ctx.eval_expr(left_key, lt)?;
-                        let g = if k.is_null() {
-                            empty.clone()
-                        } else {
-                            finished.get(&k).cloned().unwrap_or_else(|| empty.clone())
-                        };
-                        let row = lt.extended(g);
-                        meter.charge(tuple_bytes(&row));
-                        out.push(row);
-                        meter.step(ctx)?;
-                    }
-                    Ok(out)
-                })?;
+                let mut out = Vec::with_capacity(l.len());
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    let k = self.eval_expr(left_key, lt)?;
+                    let g = if k.is_null() {
+                        empty.clone()
+                    } else {
+                        finished.get(&k).cloned().unwrap_or_else(|| empty.clone())
+                    };
+                    let row = lt.extended(g);
+                    meter.charge(tuple_bytes(&row));
+                    out.push(row);
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
                 self.release(scratch);
-                Relation::new(schema, concat_rows(parts))
+                Relation::new(schema, out)
             }
             PhysKind::BinaryGroupTheta {
                 left,
@@ -1737,67 +1232,59 @@ impl ExecContext {
                     meter.step(self)?;
                 }
                 meter.finish(self)?;
-                let pairs = right_kv.len() as u64;
-                let parts = self.run_morsels(node, l.len(), pairs, |ctx, range, meter| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for lt in &l.rows()[range] {
-                        let lk = ctx.eval_expr(left_key, lt)?;
-                        let mut acc = create_accumulator(agg);
-                        let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
-                        for (rk, rt) in &right_kv {
-                            if value_truth(&eval_binop(*cmp, &lk, rk)?).is_true() {
-                                let v = match &agg.arg {
-                                    Some(a) => Some(ctx.eval_expr(a, rt)?),
-                                    None => None,
-                                };
-                                let grown = acc.update(rt, v.as_ref())?;
-                                meter.charge(grown);
-                                acc_bytes += grown;
-                            }
-                            meter.step(ctx)?;
+                let mut out = Vec::with_capacity(l.len());
+                let mut meter = Meter::default();
+                for lt in l.rows() {
+                    let lk = self.eval_expr(left_key, lt)?;
+                    let mut acc = create_accumulator(agg);
+                    let mut acc_bytes = 0u64; // DISTINCT growth, per-row scope
+                    for (rk, rt) in &right_kv {
+                        if value_truth(&eval_binop(*cmp, &lk, rk)?).is_true() {
+                            let v = match &agg.arg {
+                                Some(a) => Some(self.eval_expr(a, rt)?),
+                                None => None,
+                            };
+                            let grown = acc.update(rt, v.as_ref())?;
+                            meter.charge(grown);
+                            acc_bytes += grown;
                         }
-                        let row = lt.extended(acc.finish()?);
-                        meter.release(acc_bytes);
-                        meter.charge(tuple_bytes(&row));
-                        out.push(row);
+                        meter.step(self)?;
                     }
-                    Ok(out)
-                })?;
+                    let row = lt.extended(acc.finish()?);
+                    meter.release(acc_bytes);
+                    meter.charge(tuple_bytes(&row));
+                    out.push(row);
+                }
+                meter.finish(self)?;
                 self.release(scratch);
-                Relation::new(schema, concat_rows(parts))
+                Relation::new(schema, out)
             }
             PhysKind::Map { input, expr } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::with_capacity(range.len());
-                    for t in &rows[range] {
-                        let v = ctx.eval_expr(expr, t)?;
-                        let row = t.extended(v);
-                        meter.charge(tuple_bytes(&row));
-                        out.push(row);
-                        meter.step(ctx)?;
-                    }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                let mut out = Vec::with_capacity(input.len());
+                let mut meter = Meter::default();
+                for t in input.rows() {
+                    let v = self.eval_expr(expr, t)?;
+                    let row = t.extended(v);
+                    meter.charge(tuple_bytes(&row));
+                    out.push(row);
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
+                Relation::new(schema, out)
             }
             PhysKind::Numbering { input } => {
                 let input = self.eval_node(input, local)?;
-                let rows = input.rows();
-                let parts = self.run_morsels(node, rows.len(), 1, |ctx, range, meter| {
-                    let mut out = Vec::with_capacity(range.len());
-                    // The global row index is position-derived, so each
-                    // morsel numbers its slice independently.
-                    for (i, t) in range.clone().zip(&rows[range]) {
-                        let row = t.extended(Value::Int(i as i64));
-                        meter.charge(tuple_bytes(&row));
-                        out.push(row);
-                        meter.step(ctx)?;
-                    }
-                    Ok(out)
-                })?;
-                Relation::new(schema, concat_rows(parts))
+                let mut out = Vec::with_capacity(input.len());
+                let mut meter = Meter::default();
+                for (i, t) in input.rows().iter().enumerate() {
+                    let row = t.extended(Value::Int(i as i64));
+                    meter.charge(tuple_bytes(&row));
+                    out.push(row);
+                    meter.step(self)?;
+                }
+                meter.finish(self)?;
+                Relation::new(schema, out)
             }
             PhysKind::Distinct { input } => {
                 let input = self.eval_node(input, local)?;
@@ -1940,41 +1427,31 @@ impl ExecContext {
             } => {
                 let l = self.eval_node(left, local)?;
                 let r = self.eval_node(right, local)?;
-                let pairs = r.len() as u64;
-                let parts = self.run_morsels(source, l.len(), pairs, |ctx, range, meter| {
-                    let mut pos = Vec::new();
-                    let mut neg = Vec::new();
-                    for lt in &l.rows()[range] {
-                        ctx.check_size(pos.len().max(neg.len()))?;
-                        for rt in r.rows() {
-                            let joined = lt.concat(rt);
-                            let positive = ctx.eval_truth(predicate, &joined)?.is_true();
-                            let keep = positive
-                                || match neg_filter {
-                                    None => true,
-                                    Some(f) => ctx.eval_truth(f, &joined)?.is_true(),
-                                };
-                            if keep {
-                                meter.charge(tuple_bytes(&joined));
-                                if positive {
-                                    pos.push(joined);
-                                } else {
-                                    neg.push(joined);
-                                }
-                            }
-                            meter.step(ctx)?;
-                        }
-                    }
-                    Ok((pos, neg))
-                })?;
-                // Morsels guard their local buffers; a parallel run
-                // adds one post-merge check over the combined size (the
-                // serial path keeps the exact per-left-row guard).
-                let n_parts = parts.len();
-                let (pos, neg) = concat_dual(parts);
-                if n_parts > 1 {
+                let mut pos = Vec::new();
+                let mut neg = Vec::new();
+                let mut meter = Meter::default();
+                for lt in l.rows() {
                     self.check_size(pos.len().max(neg.len()))?;
+                    for rt in r.rows() {
+                        let joined = lt.concat(rt);
+                        let positive = self.eval_truth(predicate, &joined)?.is_true();
+                        let keep = positive
+                            || match neg_filter {
+                                None => true,
+                                Some(f) => self.eval_truth(f, &joined)?.is_true(),
+                            };
+                        if keep {
+                            meter.charge(tuple_bytes(&joined));
+                            if positive {
+                                pos.push(joined);
+                            } else {
+                                neg.push(joined);
+                            }
+                        }
+                        meter.step(self)?;
+                    }
                 }
+                meter.finish(self)?;
                 (
                     Arc::new(Relation::new(schema.clone(), pos)),
                     Arc::new(Relation::new(schema, neg)),
@@ -1994,13 +1471,11 @@ impl ExecContext {
     /// charged per block of groups.
     fn hash_aggregate(
         &mut self,
-        node: &Arc<PhysNode>,
         input: &Relation,
         keys: &[PhysExpr],
         aggs: &[AggSpec],
         schema: bypass_types::Schema,
     ) -> Result<Relation> {
-        let rows = input.rows();
         let mut groups = Groups::new(keys.len(), aggs);
         let mut meter = Meter::default();
         if keys.is_empty() {
@@ -2008,15 +1483,9 @@ impl ExecContext {
             // input (f(∅)).
             groups.group(&mut Vec::new(), fxhash::hash_values(&[]), &mut meter);
         }
-        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-        let pure = !keys.iter().chain(args).any(PhysExpr::contains_subquery);
-        if pure && self.morsel_gate(node, rows.len()) {
-            self.aggregate_parallel(node, rows, keys, &mut groups, &mut meter)?;
-        } else {
-            let mut keybuf = Vec::with_capacity(keys.len());
-            for t in rows {
-                self.aggregate_row(keys, &mut groups, &mut keybuf, &mut meter, t)?;
-            }
+        let mut keybuf = Vec::with_capacity(keys.len());
+        for t in input.rows() {
+            self.aggregate_row(keys, &mut groups, &mut keybuf, &mut meter, t)?;
         }
         meter.finish(self)?;
         let scratch = groups.charged;
@@ -2059,74 +1528,6 @@ impl ExecContext {
             groups.update(g, j, t, v.as_ref(), meter)?;
         }
         meter.step(self)
-    }
-
-    /// Parallel aggregation, for subquery-free keys and arguments only
-    /// (callers have passed the morsel gate): phase 1 fans the per-row
-    /// expression work — group key, key hash, aggregate arguments —
-    /// across the worker pool, with no governor effects at all; phase 2
-    /// groups the precomputed entries on the master in row order, with
-    /// exactly the serial path's charges and checkpoints. A morsel stops
-    /// at its first value error; phase 2 groups the rows from there on
-    /// serially, so the error surfaces after the same checkpoints as in
-    /// a serial run.
-    fn aggregate_parallel(
-        &mut self,
-        node: &Arc<PhysNode>,
-        rows: &[Tuple],
-        keys: &[PhysExpr],
-        groups: &mut Groups,
-        meter: &mut Meter,
-    ) -> Result<()> {
-        let aggs = groups.aggs;
-        let parts = self.run_morsels(node, rows.len(), 0, |ctx, range, _| {
-            let mut entries: Vec<AggEntry> = Vec::with_capacity(range.len());
-            for t in &rows[range.clone()] {
-                let Ok(entry) = ctx.aggregate_entry(keys, aggs, t) else {
-                    break;
-                };
-                entries.push(entry);
-            }
-            Ok((range, entries))
-        })?;
-        let mut keybuf = Vec::with_capacity(keys.len());
-        for (range, entries) in parts {
-            let done = range.start + entries.len();
-            for ((mut key, hash, args), t) in entries.into_iter().zip(&rows[range.start..done]) {
-                let g = groups.group(&mut key, hash, meter);
-                for (j, v) in args.iter().enumerate() {
-                    groups.update(g, j, t, v.as_ref(), meter)?;
-                }
-                meter.step(self)?;
-            }
-            for t in &rows[done..range.end] {
-                self.aggregate_row(keys, groups, &mut keybuf, meter, t)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 1 of the parallel aggregate for one row: key, key hash and
-    /// aggregate arguments.
-    fn aggregate_entry(
-        &mut self,
-        keys: &[PhysExpr],
-        aggs: &[AggSpec],
-        t: &Tuple,
-    ) -> Result<AggEntry> {
-        let mut key = Vec::with_capacity(keys.len());
-        for k in keys {
-            key.push(self.eval_expr(k, t)?);
-        }
-        let hash = fxhash::hash_values(&key);
-        let mut args = Vec::with_capacity(aggs.len());
-        for spec in aggs {
-            args.push(match &spec.arg {
-                Some(a) => Some(self.eval_expr(a, t)?),
-                None => None,
-            });
-        }
-        Ok((key, hash, args))
     }
 
     /// Single-pass build of the join hash table: per build row, evaluate
@@ -3425,8 +2826,8 @@ mod tests {
     #[test]
     fn chained_filter_checkpoints_once_per_block() {
         // σ and σ± over n rows pass exactly ⌈n/256⌉ checkpoints, whether
-        // the predicate vectorizes or not, serially and when 3-row
-        // morsels end inside blocks; the bytes charged are identical.
+        // the predicate vectorizes or not and whether its chain re-ranks
+        // at block boundaries or not.
         let gt = |c: usize, v: i64| PhysExpr::Binary {
             op: BinOp::Gt,
             left: Box::new(PhysExpr::Column(c)),
@@ -3473,69 +2874,13 @@ mod tests {
                     scan.schema.clone(),
                 );
                 for plan in [filter, stream] {
-                    let counters = |threads, morsel_rows| {
-                        let mut ctx = ExecContext::new(ExecOptions {
-                            threads,
-                            morsel_rows,
-                            ..Default::default()
-                        });
-                        ctx.eval_plan(&plan).unwrap();
-                        ctx.counters()
-                    };
-                    let serial = counters(1, MORSEL_ROWS);
-                    assert_eq!(serial.checkpoints, n.div_ceil(BLOCK_ROWS) as u64, "n={n}");
-                    assert_eq!(counters(4, 3), serial, "n={n}");
+                    let mut ctx = ExecContext::new(ExecOptions::default());
+                    ctx.eval_plan(&plan).unwrap();
+                    let checkpoints = ctx.counters().checkpoints;
+                    assert_eq!(checkpoints, n.div_ceil(BLOCK_ROWS) as u64, "n={n}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_aggregate_fails_at_the_serial_checkpoint() {
-        // SUM(1000 / (b - 400)) divides by zero at row 400, in the
-        // second block. Phase 1 stops its morsel there; phase 2 must
-        // group rows 0..400 — passing block 0's checkpoint with its
-        // group charges — before raising the same error.
-        let rows: Vec<Vec<i64>> = (0..600).map(|i| vec![i % 7, i]).collect();
-        let slices: Vec<&[i64]> = rows.iter().map(|v| v.as_slice()).collect();
-        let scan = int_rel("r", &["a", "b"], &slices);
-        let arg = PhysExpr::Binary {
-            op: BinOp::Div,
-            left: Box::new(PhysExpr::Literal(Value::Int(1000))),
-            right: Box::new(PhysExpr::Binary {
-                op: BinOp::Sub,
-                left: Box::new(PhysExpr::Column(1)),
-                right: Box::new(PhysExpr::Literal(Value::Int(400))),
-            }),
-        };
-        let agg = PhysNode::new(
-            PhysKind::HashAggregate {
-                input: scan,
-                keys: vec![PhysExpr::Column(0)],
-                aggs: vec![AggSpec {
-                    func: AggFunc::Sum,
-                    distinct: false,
-                    arg: Some(arg),
-                }],
-            },
-            Schema::new(vec![
-                Field::new("a", DataType::Int),
-                Field::new("s", DataType::Int),
-            ]),
-        );
-        let run = |threads, morsel_rows| {
-            let mut ctx = ExecContext::new(ExecOptions {
-                threads,
-                morsel_rows,
-                ..Default::default()
-            });
-            let err = ctx.eval_plan(&agg).unwrap_err();
-            (err.to_string(), ctx.counters())
-        };
-        let serial = run(1, MORSEL_ROWS);
-        assert_eq!(serial.1.checkpoints, 1, "{serial:?}");
-        assert!(serial.1.peak_memory_bytes > 0);
-        assert_eq!(run(4, 3), serial);
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //! ones. Determinism invariants (DESIGN.md §8):
 //!
 //! * costs are static classes, never measured timings;
-//! * epoch boundaries are row counts — independent of morsel size and
-//!   worker count;
-//! * counters fold commutatively (per-morsel sums), so worker counts
-//!   cannot perturb the rank;
+//! * epoch boundaries are row counts, never timings;
 //! * ties (and terms never observed to decide) fall back to syntactic
 //!   order.
 //!
@@ -39,7 +36,7 @@
 //! order's. Resource errors (budgets, deadlines, cancellation,
 //! injected faults) are deliberately outside this analysis: they are a
 //! deterministic function of engine configuration, and the chosen
-//! order never depends on morsel size or worker count, so they too stay
+//! order depends only on the rows seen so far, so they too stay
 //! reproducible.
 
 use std::cmp::Ordering;
@@ -612,8 +609,6 @@ fn term_outer_ok(e: &PhysExpr, outer: &[Tuple]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Reach/decide counters per syntactic term, nested chains recursing.
-/// Folded commutatively across morsels, so totals are worker-count
-/// independent.
 #[derive(Debug, Clone)]
 pub struct ChainStats {
     /// Rows on which the term was (or would have been) evaluated.
@@ -637,21 +632,6 @@ impl ChainStats {
                         .map(|sub| Box::new(ChainStats::zeroed(sub)))
                 })
                 .collect(),
-        }
-    }
-
-    /// Commutative elementwise fold.
-    pub fn fold(&mut self, other: &ChainStats) {
-        for (a, b) in self.reach.iter_mut().zip(&other.reach) {
-            *a += b;
-        }
-        for (a, b) in self.decide.iter_mut().zip(&other.decide) {
-            *a += b;
-        }
-        for (a, b) in self.nested.iter_mut().zip(&other.nested) {
-            if let (Some(a), Some(b)) = (a.as_deref_mut(), b.as_deref()) {
-                a.fold(b);
-            }
         }
     }
 }

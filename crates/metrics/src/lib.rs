@@ -4,11 +4,10 @@
 //!
 //! 1. [`Registry`] — counters, max-gauges and log-linear
 //!    [`Histogram`]s written through per-thread shards and folded
-//!    with commutative operations, so snapshots are worker-count
-//!    independent (the PR 6 governor-replay discipline applied to
-//!    telemetry). Wall-clock-derived series carry a `timing` flag;
-//!    [`Snapshot::deterministic`] strips them, and what remains is
-//!    bit-identical across thread counts, morsel sizes and reruns —
+//!    with commutative operations, so snapshots do not depend on which
+//!    threads recorded what. Wall-clock-derived series carry a
+//!    `timing` flag; [`Snapshot::deterministic`] strips them, and what
+//!    remains is bit-identical across recording threads and reruns —
 //!    which is what `BENCH_baseline.json` gates.
 //! 2. [`MetricsHub`] — the registry plus per-fingerprint stores: a
 //!    bounded query-stats table and a top-K [`SlowQuery`] ring.

@@ -7,10 +7,9 @@
 //! uncontended mutex. [`Registry::snapshot`] folds all shards with
 //! commutative operations — counters sum, gauges take the max,
 //! histograms add buckets elementwise — so the folded result is
-//! independent of worker count, shard registration order and
-//! observation interleaving. That is the same replay discipline the
-//! governor uses (DESIGN.md §6/§7) and what lets timing-free
-//! snapshots gate near-exactly in `BENCH_baseline.json`.
+//! independent of recording threads, shard registration order and
+//! observation interleaving. That is what lets timing-free snapshots
+//! gate exactly in `BENCH_baseline.json`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -303,8 +302,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The timing-free subset: every entry left is count-derived and
-    /// therefore identical across worker counts, morsel sizes and
-    /// repeated runs of the same workload.
+    /// therefore identical across recording threads and repeated runs
+    /// of the same workload.
     pub fn deterministic(&self) -> Snapshot {
         Snapshot {
             entries: self.entries.iter().filter(|e| !e.timing).cloned().collect(),

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bypass_core::{Database, ExecCounters, RunLimits, Strategy};
+use bypass_metrics::{MetricId, Registry};
 use bypass_types::rng::Rng;
 use bypass_types::{tuple_bytes, CancelToken, Error, QuotaKind, Relation, Result};
 
@@ -40,10 +41,7 @@ pub struct DegradePolicy {
     pub tiers: Vec<DegradeTier>,
 }
 
-/// Service-wide configuration. Env-var knobs (see
-/// [`ServiceConfig::from_env`]): `BYPASS_SERVICE_CONCURRENCY`,
-/// `BYPASS_SERVICE_QUEUE`, `BYPASS_SERVICE_RETRIES`,
-/// `BYPASS_SERVICE_BACKOFF_MS`, `BYPASS_SERVICE_SEED`.
+/// Service-wide configuration, set programmatically.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Statements executing concurrently (admission gate width).
@@ -73,45 +71,6 @@ impl Default for ServiceConfig {
     }
 }
 
-fn env_usize(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.trim().parse().ok()
-}
-
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => raw.parse().ok(),
-    }
-}
-
-impl ServiceConfig {
-    /// Defaults overridden by the `BYPASS_SERVICE_*` env knobs
-    /// (decimal, except `BYPASS_SERVICE_SEED` which also accepts
-    /// `0x`-hex).
-    pub fn from_env() -> ServiceConfig {
-        let mut cfg = ServiceConfig::default();
-        if let Some(n) = env_usize("BYPASS_SERVICE_CONCURRENCY") {
-            cfg.max_concurrency = n.max(1);
-        }
-        if let Some(n) = env_usize("BYPASS_SERVICE_QUEUE") {
-            cfg.queue_limit = n;
-        }
-        if let Some(n) = env_u64("BYPASS_SERVICE_RETRIES") {
-            cfg.retry.max_retries = n as u32;
-        }
-        if let Some(ms) = env_u64("BYPASS_SERVICE_BACKOFF_MS") {
-            cfg.retry.base_backoff = Duration::from_millis(ms);
-            cfg.retry.max_backoff = Duration::from_millis(ms.saturating_mul(16));
-        }
-        if let Some(seed) = env_u64("BYPASS_SERVICE_SEED") {
-            cfg.seed = seed;
-        }
-        cfg
-    }
-}
-
 /// Per-session quotas, checked at admission time (a rejected statement
 /// never reaches the parser). `Default` is permissive: callers opt in
 /// to each cap.
@@ -133,52 +92,69 @@ pub struct SessionQuotas {
     pub max_statement_bytes: Option<usize>,
 }
 
-/// Count-derived service counters (no timing content) — mirrored into
-/// the database's [`MetricsHub`] registry as `bypass_service_*_total`
-/// series and snapshot-gated in `BENCH_baseline.json`.
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    admission_timeouts: AtomicU64,
-    retries: AtomicU64,
-    degraded: AtomicU64,
-    quota_rejected: AtomicU64,
-    oversized: AtomicU64,
-    drain_rejected: AtomicU64,
-    cancelled: AtomicU64,
+/// Declares the count-derived service counters once: the public
+/// [`CountersSnapshot`] and the private [`CounterIds`] handles of the
+/// matching `bypass_service_<field>_total` series in the database's
+/// metrics hub.
+macro_rules! service_counters {
+    ($($(#[doc = $doc:literal])* $field:ident,)*) => {
+        /// A point-in-time copy of the service counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CountersSnapshot {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        /// One service's counter series, registered once in
+        /// [`QueryService::new`] under that service's `service` label.
+        struct CounterIds {
+            $($field: MetricId,)*
+        }
+
+        impl CounterIds {
+            fn register(registry: &Registry, service: &str) -> CounterIds {
+                CounterIds {
+                    $($field: registry.counter(
+                        concat!("bypass_service_", stringify!($field), "_total"),
+                        concat!("Service admission counter: ", stringify!($field)),
+                        &[("service", service)],
+                    ),)*
+                }
+            }
+
+            fn snapshot(&self, registry: &Registry) -> CountersSnapshot {
+                CountersSnapshot {
+                    $($field: registry.fold_value(self.$field),)*
+                }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of the service counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
+service_counters! {
     /// Statements submitted through any session.
-    pub submitted: u64,
+    submitted,
     /// Statements that obtained an execution slot.
-    pub admitted: u64,
+    admitted,
     /// Statements that returned rows.
-    pub completed: u64,
+    completed,
     /// Statements that returned a non-admission error.
-    pub failed: u64,
+    failed,
     /// Submissions shed with `Overloaded` (queue full).
-    pub shed: u64,
+    shed,
     /// Submissions rejected with `AdmissionTimeout`.
-    pub admission_timeouts: u64,
+    admission_timeouts,
     /// Transparent re-runs performed by the retry policy.
-    pub retries: u64,
+    retries,
     /// Admissions that ran under a degraded tier.
-    pub degraded: u64,
+    degraded,
     /// Submissions rejected by a session quota.
-    pub quota_rejected: u64,
+    quota_rejected,
     /// Submissions rejected by a statement-size cap.
-    pub oversized: u64,
+    oversized,
     /// Submissions rejected because the service was draining.
-    pub drain_rejected: u64,
+    drain_rejected,
     /// Statements that ended with `Error::Cancelled`.
-    pub cancelled: u64,
+    cancelled,
 }
 
 struct Inner {
@@ -186,7 +162,7 @@ struct Inner {
     strategy: Strategy,
     adm: AdmissionController,
     cfg: ServiceConfig,
-    counters: Counters,
+    counters: CounterIds,
     /// Cancel tokens of in-flight statements: `(session, statement)`
     /// so a session can cancel only its own work while `drain()`
     /// cancels everything.
@@ -196,17 +172,13 @@ struct Inner {
 }
 
 macro_rules! bump {
-    ($inner:expr, $field:ident) => {{
-        $inner.counters.$field.fetch_add(1, Ordering::Relaxed);
-        $inner.db.metrics_hub().registry().add(
-            $inner.db.metrics_hub().registry().counter(
-                concat!("bypass_service_", stringify!($field), "_total"),
-                concat!("Service admission counter: ", stringify!($field)),
-                &[],
-            ),
-            1,
-        );
-    }};
+    ($inner:expr, $field:ident) => {
+        $inner
+            .db
+            .metrics_hub()
+            .registry()
+            .add($inner.counters.$field, 1)
+    };
 }
 
 impl Inner {
@@ -235,14 +207,20 @@ pub struct QueryService {
 
 impl QueryService {
     /// A service over `db`, executing every statement under `strategy`.
+    /// Its counters are `bypass_service_*_total` series in `db`'s
+    /// metrics hub, labelled `service="<id>"` with an id unique in the
+    /// process, so services sharing one database count independently.
     pub fn new(db: Arc<Database>, strategy: Strategy, cfg: ServiceConfig) -> QueryService {
+        static NEXT_SERVICE: AtomicU64 = AtomicU64::new(1);
+        let id = NEXT_SERVICE.fetch_add(1, Ordering::Relaxed).to_string();
+        let counters = CounterIds::register(db.metrics_hub().registry(), &id);
         QueryService {
             inner: Arc::new(Inner {
                 adm: AdmissionController::new(cfg.max_concurrency, cfg.queue_limit),
                 db,
                 strategy,
                 cfg,
-                counters: Counters::default(),
+                counters,
                 active: Mutex::new(Vec::new()),
                 next_session: AtomicU64::new(1),
                 next_statement: AtomicU64::new(1),
@@ -306,21 +284,8 @@ impl QueryService {
 
     /// A point-in-time copy of the count-derived service counters.
     pub fn counters(&self) -> CountersSnapshot {
-        let c = &self.inner.counters;
-        CountersSnapshot {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            admission_timeouts: c.admission_timeouts.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
-            quota_rejected: c.quota_rejected.load(Ordering::Relaxed),
-            oversized: c.oversized.load(Ordering::Relaxed),
-            drain_rejected: c.drain_rejected.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-        }
+        let inner = &self.inner;
+        inner.counters.snapshot(inner.db.metrics_hub().registry())
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Each PATH is a `.slt` file or a directory searched recursively
 //! (default: `tests/slt` under the current directory). Files run in
-//! parallel across `N` workers (default 1 — each file already fans its
-//! queries across the strategy grid), and a per-file pass table is
+//! parallel across `N` workers (default 1 — each file already runs its
+//! queries under every strategy), and a per-file pass table is
 //! printed. Exit status 1 if any file fails.
 
 use std::path::PathBuf;

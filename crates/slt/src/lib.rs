@@ -5,7 +5,7 @@
 //! strategies on random queries; it cannot say which side is right,
 //! and it never exercises hand-picked traps. This crate closes that
 //! gap with a corpus of `.slt` files whose expected results are written
-//! down, executed across the full strategy × threads grid:
+//! down, executed under every strategy:
 //!
 //! * [`parse`] — the `.slt` dialect (statement ok/error, typed query
 //!   records with rowsort/valuesort/nosort, FNV-1a result hashes,
@@ -14,7 +14,7 @@
 //! * [`norm`] — relation → canonical value-per-line text, so results
 //!   compare as string lists and files stay diffable;
 //! * [`run`] — the matrix driver, which also cross-checks raw results
-//!   between grid points through the oracle's own comparator.
+//!   between strategies through the oracle's own comparator.
 //!
 //! `cargo test` picks the corpus up through `tests/slt.rs`; the
 //! `slt_runner` binary runs it standalone with a per-file pass table

@@ -1,12 +1,10 @@
 //! The matrix driver: executes a parsed [`SltFile`] against a fresh
-//! [`Database`], running every `query` record across the full
-//! strategy × thread-count grid and diffing normalized results against
-//! the expected block.
+//! [`Database`], running every `query` record under every admitted
+//! strategy and diffing normalized results against the expected block.
 //!
 //! A conformance failure is reported with the record's line number,
-//! the exact grid point (`unnested / threads=8`) and a
-//! value-level diff, so a failing corpus file doubles as a minimized
-//! bug report.
+//! the exact strategy (`[unnested]`) and a value-level diff, so a
+//! failing corpus file doubles as a minimized bug report.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -16,9 +14,6 @@ use bypass_types::Relation;
 
 use crate::norm::{hash_lines, normalize};
 use crate::parse::{Expected, LoadKind, Record, RecordKind, SltFile};
-
-/// Thread counts every query record is executed under.
-pub const THREAD_AXIS: [usize; 2] = [1, 8];
 
 /// Per-query wall-clock budget; a hang is reported as a failure, not a
 /// stuck test process.
@@ -43,7 +38,7 @@ pub struct FileReport {
     pub name: String,
     /// `query` records executed.
     pub queries: usize,
-    /// Individual engine executions (queries × admitted grid points).
+    /// Individual engine executions (queries × admitted strategies).
     pub executions: usize,
     pub failures: Vec<Failure>,
 }
@@ -97,39 +92,33 @@ fn run_record(db: &mut Database, record: &Record, report: &mut FileReport) -> Re
             ..
         } => {
             report.queries += 1;
+            let limits = RunLimits {
+                timeout: Some(QUERY_TIMEOUT),
+                ..RunLimits::default()
+            };
             let mut reference: Option<(Relation, String)> = None;
             for strategy in Strategy::all() {
                 let name = strategy.to_string().to_ascii_lowercase();
                 if !conditions.admits(&name) {
                     continue;
                 }
-                for threads in THREAD_AXIS {
-                    let grid = format!("{name} / threads={threads}");
-                    let limits = RunLimits {
-                        timeout: Some(QUERY_TIMEOUT),
-                        threads: Some(threads),
-                        ..RunLimits::default()
-                    };
-                    report.executions += 1;
-                    let rel = match db.run_governed(sql, strategy, &limits) {
-                        Ok((rel, _counters)) => rel,
-                        Err(e) => return Err(format!("[{grid}] query failed: {e}")),
-                    };
-                    let got = normalize(&rel, types, *sort).map_err(|e| format!("[{grid}] {e}"))?;
-                    check_expected(expected, &got).map_err(|e| format!("[{grid}] {e}"))?;
-                    // Cross-check raw relations between grid points
-                    // through the oracle's comparator as well: the
-                    // normalizer could in principle mask a diff
-                    // (e.g. two floats formatting identically), and
-                    // this is the comparator the A/B oracle trusts.
-                    match &reference {
-                        None => reference = Some((rel, grid)),
-                        Some((ref_rel, ref_grid)) => {
-                            if let Some(diff) = bypass_check::results_agree(ref_rel, &rel, None) {
-                                return Err(format!(
-                                    "[{grid}] disagrees with [{ref_grid}]: {diff}"
-                                ));
-                            }
+                report.executions += 1;
+                let rel = match db.run_governed(sql, strategy, &limits) {
+                    Ok((rel, _counters)) => rel,
+                    Err(e) => return Err(format!("[{name}] query failed: {e}")),
+                };
+                let got = normalize(&rel, types, *sort).map_err(|e| format!("[{name}] {e}"))?;
+                check_expected(expected, &got).map_err(|e| format!("[{name}] {e}"))?;
+                // Cross-check raw relations between strategies through
+                // the oracle's comparator as well: the normalizer could
+                // in principle mask a diff (e.g. two floats formatting
+                // identically), and this is the comparator the A/B
+                // oracle trusts.
+                match &reference {
+                    None => reference = Some((rel, name)),
+                    Some((ref_rel, ref_name)) => {
+                        if let Some(diff) = bypass_check::results_agree(ref_rel, &rel, None) {
+                            return Err(format!("[{name}] disagrees with [{ref_name}]: {diff}"));
                         }
                     }
                 }

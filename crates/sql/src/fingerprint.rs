@@ -24,7 +24,7 @@
 //!
 //! The hash is a pure function of the normalized text, with no
 //! per-process seed, so fingerprints are stable across runs,
-//! platforms and worker counts.
+//! platforms and threads.
 
 use crate::ast::{Expr, Literal, OrderItem, SelectItem, SelectStmt, TableRef};
 

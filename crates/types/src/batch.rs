@@ -2,11 +2,10 @@
 //!
 //! A [`Batch`] is a batch-of-N columnar view of a run of rows: one
 //! `Vec<Value>` per column plus an explicit length (so zero-arity rows
-//! keep their count). Conversion to and from the engine's shared-row
-//! [`Tuple`]s is lossless — the vectorized σ/Π/σ± paths transpose a
-//! chunk of rows into a `Batch`, evaluate simple predicates as column
-//! kernels over a *selection vector* of surviving lane indices, and
-//! hand back ordinary row-oriented `Tuple`s at operator boundaries.
+//! keep their count). The vectorized σ/σ± paths transpose the columns
+//! their kernels read into a `Batch`, evaluate simple predicates as
+//! column kernels over a *selection vector* of surviving lane indices,
+//! and hand back the input's own row-oriented `Tuple`s.
 //!
 //! Kernels walk a batch one [`BLOCK_ROWS`] block at a time: the same
 //! constant is the executor's kernel chunk, its adaptive-ordering epoch
@@ -34,10 +33,11 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Transpose only the named columns (late materialization): columns
-    /// not listed in `cols` stay empty and must not be indexed. The
-    /// vectorized filter path transposes exactly the columns its
-    /// kernels read, so unreferenced columns cost nothing.
+    /// Transpose only the named, distinct columns (late
+    /// materialization): columns not listed in `cols` stay empty and
+    /// must not be indexed. The vectorized filter path transposes
+    /// exactly the columns its kernels read, so unreferenced columns
+    /// cost nothing.
     pub fn from_rows_cols(rows: &[Tuple], cols: &[usize]) -> Self {
         let Some(first) = rows.first() else {
             // No rows: no lanes can ever be selected, so no column
@@ -50,11 +50,7 @@ impl Batch {
         let arity = first.arity();
         let mut columns: Vec<Vec<Value>> = (0..arity).map(|_| Vec::new()).collect();
         for &c in cols {
-            // `cols` may repeat a column (Π can project the same source
-            // column more than once); fill each backing vector once.
-            if !columns[c].is_empty() {
-                continue;
-            }
+            debug_assert!(columns[c].is_empty(), "column {c} listed twice");
             columns[c].reserve_exact(rows.len());
             for row in rows {
                 let values = row.values();
@@ -87,14 +83,6 @@ impl Batch {
     pub fn column(&self, i: usize) -> &[Value] {
         &self.columns[i]
     }
-
-    /// Column-subset projection: build one output tuple per row from
-    /// the named columns, in column order (the vectorized Π path).
-    pub fn project_rows(&self, cols: &[usize]) -> Vec<Tuple> {
-        (0..self.len)
-            .map(|r| Tuple::new(cols.iter().map(|&c| self.columns[c][r].clone()).collect()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_project_round_trip() {
+    fn transpose_builds_columns() {
         let rows = vec![row(&[1, 2]), row(&[3, 4]), row(&[5, 6])];
         let batch = Batch::from_rows_cols(&rows, &[0, 1]);
         assert_eq!(batch.len(), 3);
@@ -115,7 +103,6 @@ mod tests {
             batch.column(1),
             &[Value::Int(2), Value::Int(4), Value::Int(6)]
         );
-        assert_eq!(batch.project_rows(&[0, 1]), rows);
     }
 
     #[test]
@@ -124,7 +111,6 @@ mod tests {
         let batch = Batch::from_rows_cols(&rows, &[]);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.arity(), 0);
-        assert_eq!(batch.project_rows(&[]), rows);
     }
 
     #[test]
@@ -143,30 +129,5 @@ mod tests {
         assert_eq!(batch.column(2), &[Value::Int(3), Value::Int(6)]);
         assert!(batch.column(0).is_empty());
         assert!(batch.column(1).is_empty());
-    }
-
-    #[test]
-    fn selective_transpose_fills_repeated_columns_once() {
-        // Π may project the same source column several times
-        // (`SELECT b3 AS f1, b3 AS f2 ...`); repeats in `cols` must not
-        // re-append the column's values.
-        let rows = vec![row(&[1, 2, 3]), row(&[4, 5, 6])];
-        let batch = Batch::from_rows_cols(&rows, &[2, 2, 2, 1]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.column(2), &[Value::Int(3), Value::Int(6)]);
-        assert_eq!(batch.column(1), &[Value::Int(2), Value::Int(5)]);
-        assert_eq!(
-            batch.project_rows(&[2, 2, 2, 1]),
-            vec![row(&[3, 3, 3, 2]), row(&[6, 6, 6, 5])]
-        );
-    }
-
-    #[test]
-    fn project_rows_matches_tuple_project() {
-        let rows = vec![row(&[10, 20, 30]), row(&[40, 50, 60])];
-        let batch = Batch::from_rows_cols(&rows, &[0, 2]);
-        let projected = batch.project_rows(&[2, 0]);
-        let expected: Vec<Tuple> = rows.iter().map(|t| t.project(&[2, 0])).collect();
-        assert_eq!(projected, expected);
     }
 }

@@ -126,22 +126,6 @@ impl InjectedFault {
     }
 }
 
-/// One governor effect recorded by a speculative morsel worker during
-/// parallel execution, replayed **in morsel order** on the master
-/// context so budgets, injected faults and checkpoint indices behave
-/// exactly as in a serial run.
-///
-/// Workers run their morsel against a forked governor that starts at
-/// zero bytes; the log is the worker's complete effect sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GovEvent {
-    /// One checkpoint applying this net byte delta (a block's summed
-    /// charges minus the scratch it freed, or a one-shot charge).
-    Checkpoint(i64),
-    /// A release of operator-local scratch (not a checkpoint).
-    Release(u64),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,8 +35,8 @@ pub use datatype::DataType;
 pub use error::{Error, QuotaKind, ResourceKind, Result};
 pub use fxhash::{hash_one, hash_values, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Prehashed};
 pub use govern::{
-    tuple_bytes, value_heap_bytes, CancelToken, FaultKind, GovEvent, InjectedFault,
-    ROW_OVERHEAD_BYTES, SHARED_ROW_BYTES, VALUE_BYTES,
+    tuple_bytes, value_heap_bytes, CancelToken, FaultKind, InjectedFault, ROW_OVERHEAD_BYTES,
+    SHARED_ROW_BYTES, VALUE_BYTES,
 };
 pub use relation::Relation;
 pub use rng::{split_mix64, Rng, SampleRange};
@@ -46,8 +46,8 @@ pub use stats::{ColumnStats, TableStats};
 pub use tuple::Tuple;
 pub use value::{Truth, Value};
 
-// The zero-clone executor shares rows, relations and catalog entries
-// across scoped worker threads; every core type must therefore stay
+// Rows, relations and catalog entries are shared by concurrent queries
+// (service sessions, harness threads); every core type must therefore stay
 // `Send + Sync`. Compile-time proof (fails to build if violated):
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

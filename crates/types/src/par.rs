@@ -17,26 +17,28 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const THREADS_ENV: &str = "BYPASS_THREADS";
 
 /// Worker count: `BYPASS_THREADS` if set (clamped to ≥1), otherwise the
-/// machine's available parallelism.
+/// machine's available parallelism, which is only queried when the
+/// variable is unset or invalid.
 pub fn thread_count() -> usize {
-    thread_count_or(default_parallelism())
+    env_threads().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Worker count: `BYPASS_THREADS` if set, otherwise `default`. Benches
 /// pass `default = 1` so timing runs stay serial unless asked.
 pub fn thread_count_or(default: usize) -> usize {
+    env_threads().unwrap_or(default).max(1)
+}
+
+/// `BYPASS_THREADS` parsed as a worker count ≥ 1.
+fn env_threads() -> Option<usize> {
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or(default)
-        .max(1)
-}
-
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Apply `f` to every item, running up to `threads` scoped workers, and

@@ -19,11 +19,10 @@
 #   BENCH_FILTER        space-separated bench target list
 #                       (default: fig7a_q1 fig7b_q2d fig7c_q2 operators
 #                       counters selectivity phases)
-#   BYPASS_THREADS      intra-query worker count (morsel-driven
-#                       execution, DESIGN.md §7) and grid fan-out width.
-#                       Leave unset for timing runs: baselines are
-#                       recorded serial, and counters/phases snapshots
-#                       are worker-count independent by construction.
+#   BYPASS_THREADS      does not affect these targets: every query
+#                       executes serially. It only sets the fan-out
+#                       width of harness drivers (the fig7 grid, the
+#                       differential oracle).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

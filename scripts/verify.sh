@@ -12,30 +12,20 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The whole suite runs twice: once pinned serial and once with 8
-# intra-query workers, so every tier-1 test exercises both the serial
-# and the morsel-parallel executor (DESIGN.md §7). Results, counters and
-# oracle reports must be identical either way — the worker-count-
-# independence tests assert that explicitly; running the full matrix
-# under both settings catches anything they missed.
-echo "==> cargo test -q (BYPASS_THREADS=1, serial)"
-BYPASS_THREADS=1 cargo test -q --workspace
+echo "==> cargo test -q"
+cargo test -q --workspace
 
-echo "==> cargo test -q (BYPASS_THREADS=8, parallel)"
-BYPASS_THREADS=8 cargo test -q --workspace
-
-# The slt conformance corpus, standalone-runner flavor (the same files
-# also run inside `cargo test` via tests/slt.rs). Each query record
-# already crosses the full 7-strategy x threads{1,8} grid internally;
-# the two invocations here exercise the runner's own file-level
-# scheduling serial and at 8 workers, printing the per-file pass table
-# both times (DESIGN.md §10).
 # The repository benchmark is a separate workspace built from these
 # crates by path; its self-tests fail here, not only at benchmark time,
 # when a change to the engine's public API breaks it.
 echo "==> perf_ledger self-tests"
 cargo test -q --offline --manifest-path perf_ledger/Cargo.toml
 
+# The slt conformance corpus, standalone-runner flavor (the same files
+# also run inside `cargo test` via tests/slt.rs). Each query record
+# already runs under all 7 strategies; the two invocations here
+# exercise the runner's own file-level scheduling serial and at 8
+# workers, printing the per-file pass table both times (DESIGN.md §10).
 echo "==> slt conformance corpus (serial file runner)"
 cargo run -q --release -p bypass-slt --bin slt_runner -- --workers 1 tests/slt
 

@@ -188,25 +188,16 @@ fn governor_counters_are_deterministic_across_the_strategy_matrix() {
 const Q2: &str = "SELECT DISTINCT * FROM r \
                   WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 1500)";
 
-/// Four workers with 3-row morsels: every morsel ends inside a
-/// 256-row block, so every block checkpoint carries bytes across
-/// morsels.
-fn carried_limits() -> RunLimits {
-    RunLimits {
-        threads: Some(4),
-        morsel_rows: Some(3),
-        ..RunLimits::default()
-    }
-}
-
 /// A budget at the measured peak passes and one byte under it trips
-/// with the typed Memory error, under `base`'s execution shape.
-fn assert_budget_is_exact_at_peak(db: &Database, sql: &str, base: &RunLimits) {
-    let (_, counters) = db.run_governed(sql, Strategy::Unnested, base).unwrap();
+/// with the typed Memory error.
+fn assert_budget_is_exact_at_peak(db: &Database, sql: &str) {
+    let (_, counters) = db
+        .run_governed(sql, Strategy::Unnested, &RunLimits::default())
+        .unwrap();
     let peak = counters.peak_memory_bytes;
     let budget = |bytes| RunLimits {
         max_memory_bytes: Some(bytes),
-        ..base.clone()
+        ..RunLimits::default()
     };
     let (_, at_peak) = db
         .run_governed(sql, Strategy::Unnested, &budget(peak))
@@ -230,8 +221,7 @@ fn assert_budget_is_exact_at_peak(db: &Database, sql: &str, base: &RunLimits) {
 /// The hash aggregate charges its group arena, accumulator state,
 /// DISTINCT growth and output rows: `COUNT(DISTINCT a1)` over 10 000
 /// rows keeps every distinct value and cannot fit in 1 KiB. On a
-/// grouped unnested plan the budget is exact at the peak, serially and
-/// with carried blocks.
+/// grouped unnested plan the budget is exact at the peak.
 #[test]
 fn hash_aggregate_state_is_charged_to_the_budget() {
     let mut db = Database::new();
@@ -266,45 +256,57 @@ fn hash_aggregate_state_is_charged_to_the_budget() {
     );
 
     let db = q1_database(Strategy::Unnested);
-    assert_budget_is_exact_at_peak(&db, Q2, &RunLimits::default());
-    assert_budget_is_exact_at_peak(&db, Q2, &carried_limits());
+    assert_budget_is_exact_at_peak(&db, Q2);
 }
 
 /// Every fault kind injected at every checkpoint of a small multi-block
-/// plan (500-row tables: two blocks per scan-sized operator) renders
-/// the identical error serially and at 4 workers × 3-row morsels, and
-/// the parallel run's memory budget is exact at its peak.
+/// plan (500-row tables: two blocks per scan-sized operator) surfaces
+/// as its typed error, and renders identically whether or not the run
+/// collects EXPLAIN ANALYZE metrics: metrics never move a checkpoint.
+/// The memory budget is exact at the plan's peak.
 #[test]
 fn every_fault_renders_identically_with_carried_blocks() {
     let db = q1_database(Strategy::Unnested);
-    let serial = RunLimits {
-        threads: Some(1),
-        ..RunLimits::default()
-    };
-    let (_, counters) = db.run_governed(Q1, Strategy::Unnested, &serial).unwrap();
-    let (_, par_counters) = db
-        .run_governed(Q1, Strategy::Unnested, &carried_limits())
+    let (_, counters) = db
+        .run_governed(Q1, Strategy::Unnested, &RunLimits::default())
         .unwrap();
-    assert_eq!(par_counters, counters);
     assert!(counters.checkpoints > 2, "{counters:?}");
     for k in 1..=counters.checkpoints {
         for kind in [FaultKind::Memory, FaultKind::Deadline, FaultKind::Cancel] {
-            let fault = Some(InjectedFault::new(k, kind));
-            let render = |base: &RunLimits| {
-                let limits = RunLimits {
-                    fault,
-                    ..base.clone()
-                };
-                db.run_governed(Q1, Strategy::Unnested, &limits)
-                    .expect_err("an injected fault must fire")
-                    .to_string()
+            let limits = RunLimits {
+                fault: Some(InjectedFault::new(k, kind)),
+                ..RunLimits::default()
             };
+            let err = db
+                .run_governed(Q1, Strategy::Unnested, &limits)
+                .expect_err("an injected fault must fire");
+            let typed = match kind {
+                FaultKind::Memory => matches!(
+                    err,
+                    Error::ResourceExhausted {
+                        resource: ResourceKind::Memory,
+                        ..
+                    }
+                ),
+                FaultKind::Deadline => matches!(
+                    err,
+                    Error::ResourceExhausted {
+                        resource: ResourceKind::Time,
+                        ..
+                    }
+                ),
+                FaultKind::Cancel => err == Error::Cancelled,
+            };
+            assert!(typed, "{kind:?} at checkpoint {k}: {err}");
+            let profiled = db
+                .profile_governed(Q1, Strategy::Unnested, &limits)
+                .expect_err("an injected fault must fire under metrics");
             assert_eq!(
-                render(&carried_limits()),
-                render(&serial),
+                profiled.to_string(),
+                err.to_string(),
                 "{kind:?} at checkpoint {k}"
             );
         }
     }
-    assert_budget_is_exact_at_peak(&db, Q1, &carried_limits());
+    assert_budget_is_exact_at_peak(&db, Q1);
 }

@@ -1,7 +1,7 @@
 //! End-to-end observability gates: the `EXPLAIN ANALYZE` statement
 //! through the full SQL frontend, the Chrome-trace export of an
-//! instrumented query run, and the worker-count independence of the
-//! execution counters.
+//! instrumented query run, and the per-run isolation of the execution
+//! counters under concurrent queries.
 
 use std::sync::Mutex;
 use std::time::Duration;

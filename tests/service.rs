@@ -12,7 +12,7 @@ use bypass::datagen::rst;
 use bypass::service::{
     DegradePolicy, DegradeTier, QueryService, RetryPolicy, ServiceConfig, SessionQuotas,
 };
-use bypass::{Database, Error, QuotaKind, ResourceKind, RunLimits, Strategy};
+use bypass::{Database, Error, MetricsHub, QuotaKind, ResourceKind, RunLimits, Strategy};
 
 /// The paper's Q1 (disjunctive linking).
 const Q1: &str = "SELECT DISTINCT * FROM r \
@@ -54,6 +54,64 @@ fn service_run_matches_direct_run_exactly() {
     assert_eq!(resp.tier, 0);
     let c = svc.counters();
     assert_eq!((c.submitted, c.admitted, c.completed), (1, 1, 1));
+}
+
+/// Two services over one `Database` count independently, and each
+/// service's `counters()` is exactly its own `service`-labelled
+/// `bypass_service_*_total` series in the database's metrics hub.
+#[test]
+fn services_sharing_a_database_count_independently() {
+    let mut db = Database::new().with_metrics_hub(Arc::new(MetricsHub::new()));
+    rst::register(db.catalog_mut(), &rst::generate(0.05, 0.05, 42)).unwrap();
+    let db = Arc::new(db);
+    let a = QueryService::new(Arc::clone(&db), Strategy::Unnested, fast_cfg());
+    let b = QueryService::new(Arc::clone(&db), Strategy::Unnested, fast_cfg());
+    a.session(SessionQuotas::default()).execute(Q1).unwrap();
+    let session = b.session(SessionQuotas::default());
+    session.execute(Q1).unwrap();
+    session.execute(Q1).unwrap();
+    session.execute("SELECT nope FROM r").unwrap_err();
+    let (ca, cb) = (a.counters(), b.counters());
+    assert_eq!((ca.submitted, ca.completed, ca.failed), (1, 1, 0));
+    assert_eq!((cb.submitted, cb.completed, cb.failed), (3, 2, 1));
+
+    // Service ids are handed out in creation order: `a` has the lower.
+    let snapshot = db.metrics();
+    let mut ids: Vec<u64> = snapshot
+        .entries
+        .iter()
+        .filter(|e| e.name == "bypass_service_submitted_total")
+        .flat_map(|e| &e.labels)
+        .filter(|(k, _)| k == "service")
+        .map(|(_, v)| v.parse().unwrap())
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids.len(), 2, "one labelled series per service: {ids:?}");
+    for (svc, id) in [(&a, ids[0]), (&b, ids[1])] {
+        let c = svc.counters();
+        let id = id.to_string();
+        for (field, value) in [
+            ("submitted", c.submitted),
+            ("admitted", c.admitted),
+            ("completed", c.completed),
+            ("failed", c.failed),
+            ("shed", c.shed),
+            ("admission_timeouts", c.admission_timeouts),
+            ("retries", c.retries),
+            ("degraded", c.degraded),
+            ("quota_rejected", c.quota_rejected),
+            ("oversized", c.oversized),
+            ("drain_rejected", c.drain_rejected),
+            ("cancelled", c.cancelled),
+        ] {
+            let name = format!("bypass_service_{field}_total");
+            assert_eq!(
+                snapshot.counter(&name, &[("service", &id)]),
+                value,
+                "{name} of service {id}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Conformance-corpus harness: every `tests/slt/**/*.slt` file runs
-//! across the full strategy × threads grid (see DESIGN.md §10).
+//! under all seven strategies (see DESIGN.md §10).
 //!
 //! One `#[test]` per corpus subdirectory so failures localize and the
 //! directories run in parallel under the default test runner. A new
